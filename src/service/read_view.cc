@@ -97,9 +97,13 @@ std::unique_ptr<const ReadView> ReadViewBuilder::Finish(
   ReadView* view = view_.get();
   uint32_t num_shards = static_cast<uint32_t>(view->slices_.size());
 
-  // Graft the untouched slices and seed the id map from the previous
-  // view, then patch only the rebuilt shards: first erase the entries
-  // the shard's old slice owned, then write the new slice's.
+  // Seed the id map from the previous view and patch only the rebuilt
+  // shards, in two passes over them. Pass 1 grafts the untouched slices
+  // and erases every entry a rebuilt shard's old slice owned; pass 2
+  // writes every rebuilt slice's entries. Erasing and writing shard by
+  // shard would tear a group that moved from a higher to a lower shard:
+  // the lower shard writes the group's entries first, then the higher
+  // shard erases them because its old slice owned them.
   if (prev_ != nullptr) view->cluster_of_ = prev_->cluster_of_;
   for (uint32_t shard = 0; shard < num_shards; ++shard) {
     if (!fresh_[shard]) {
@@ -108,15 +112,17 @@ std::unique_ptr<const ReadView> ReadViewBuilder::Finish(
       view->slices_[shard] = prev_->slices_[shard];
       continue;
     }
-    if (prev_ != nullptr && prev_->slices_[shard] != nullptr) {
-      for (const ReadClusterInfo& cluster : prev_->slices_[shard]->clusters) {
-        for (ObjectId member : cluster.members) {
-          if (static_cast<size_t>(member) < view->cluster_of_.size()) {
-            view->cluster_of_[member] = ReadView::Entry{};
-          }
+    if (prev_ == nullptr || prev_->slices_[shard] == nullptr) continue;
+    for (const ReadClusterInfo& cluster : prev_->slices_[shard]->clusters) {
+      for (ObjectId member : cluster.members) {
+        if (static_cast<size_t>(member) < view->cluster_of_.size()) {
+          view->cluster_of_[member] = ReadView::Entry{};
         }
       }
     }
+  }
+  for (uint32_t shard = 0; shard < num_shards; ++shard) {
+    if (!fresh_[shard]) continue;
     const ReadViewSlice& slice = *view->slices_[shard];
     for (uint32_t index = 0; index < slice.clusters.size(); ++index) {
       for (ObjectId member : slice.clusters[index].members) {

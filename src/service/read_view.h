@@ -121,8 +121,8 @@ class ReadView {
   friend class ReadViewBuilder;
 
   /// Looked up by ClusterOf: which slice owns the id and which cluster
-  /// within it. kInvalidObject-sized ids and dead objects map to
-  /// kNoCluster.
+  /// within it. Ids that are unknown, dead, or were still queued at the
+  /// view's epoch map to kNoShard.
   struct Entry {
     uint32_t shard = kNoShard;
     uint32_t index = 0;
@@ -136,7 +136,12 @@ class ReadView {
   /// Canonical order: pointers into the slices, sorted by first member.
   std::vector<const ReadClusterInfo*> clusters_;
   /// global id -> owning slice/cluster; copied from the previous view
-  /// and patched only for rebuilt slices.
+  /// and patched only for rebuilt slices. Invariant: every member of
+  /// every listed cluster maps to its slice and index within it, and
+  /// every other id maps to kNoShard or lies past the map's end.
+  /// ReadViewBuilder::Finish keeps it across group moves between rebuilt
+  /// shards by erasing all rebuilt shards' old entries before writing
+  /// any new ones.
   std::vector<Entry> cluster_of_;
 
   /// k-NN support: representative features per canonical cluster, built

@@ -6,6 +6,7 @@
 // admission in ReadRouter, and hazard/refcount view reclamation under
 // reader/publisher stress (run under TSan/ASan in CI).
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <memory>
@@ -236,6 +237,50 @@ TEST(ReadPath, ReadsStayConsistentAcrossMigrations) {
   ReadPin pin = service.AcquireReadView();
   ASSERT_TRUE(pin);
   EXPECT_EQ(pin->CanonicalClusters(), service.GlobalClusters());
+}
+
+TEST(ReadPath, MoveToLowerShardKeepsIdMapInOnePublish) {
+  // Deterministic, single-threaded: one publish rebuilds both shards
+  // while a group moves from shard 1 to shard 0. Patching the id map
+  // shard by shard would let shard 1's erase of its old entries wipe
+  // what shard 0 had just written for the moved group.
+  ShardedDynamicCService service(ReadServiceOptions(2), nullptr,
+                                 MakeFactory());
+  std::vector<ObjectId> moved_ids =
+      service.ApplyOperations(AddsForGroups({0}, kGroupSize));
+  ASSERT_EQ(moved_ids.size(), static_cast<size_t>(kGroupSize));
+  std::vector<ObjectId> changed =
+      service.ApplyOperations(AddsForGroups({1, 2, 3, 4, 5}, kGroupSize));
+  changed.insert(changed.end(), moved_ids.begin(), moved_ids.end());
+  service.ObserveBatchRound(changed);
+  service.CloseEpoch();
+
+  const uint64_t group = GroupKeyOf(0);
+  service.MigrateGroup(group, 1);
+  service.CloseEpoch();
+  for (ObjectId id : moved_ids) ASSERT_EQ(service.ShardOfObject(id), 1u);
+
+  ShardedDynamicCService::MigrationReport report =
+      service.MigrateGroup(group, 0);
+  ASSERT_TRUE(report.moved);
+  ASSERT_EQ(report.from, 1u);
+  const uint64_t epoch = service.CloseEpoch();
+
+  ReadPin pin = service.AcquireReadView();
+  ASSERT_TRUE(pin);
+  ASSERT_EQ(pin->epoch(), epoch);
+  CheckViewInvariants(*pin);
+  EXPECT_EQ(pin->CanonicalClusters(), service.GlobalClusters());
+
+  QueryClient client(&service);
+  for (ObjectId id : moved_ids) {
+    QueryClient::ClusterOfResult result = client.ClusterOfRecord(id);
+    ASSERT_TRUE(result.info.served);
+    EXPECT_EQ(result.info.epoch, epoch);
+    EXPECT_NE(std::find(result.members.begin(), result.members.end(), id),
+              result.members.end())
+        << "moved member " << id << " unknown to the published view";
+  }
 }
 
 // --------------------------------------- followers, staleness, failover
