@@ -125,13 +125,6 @@ OperationBatch HotRound(const BenchArgs& args, int round) {
   return ops;
 }
 
-double Percentile(std::vector<double>* values, double p) {
-  if (values->empty()) return 0.0;
-  std::sort(values->begin(), values->end());
-  size_t index = static_cast<size_t>(p * (values->size() - 1) + 0.5);
-  return (*values)[std::min(index, values->size() - 1)];
-}
-
 ShardedDynamicCService::Options ServiceOptions(const BenchArgs& args,
                                                obs::MetricsRegistry* metrics,
                                                bool serve_reads) {
@@ -511,13 +504,13 @@ int main(int argc, char** argv) {
       .BeginObject()
       .Key("target_ops_per_sec").Value(target_rate)
       .Key("ingest_sends").Value(ingest_all.size())
-      .Key("ingest_p50_ms").Value(Percentile(&ingest_all, 0.50))
-      .Key("ingest_p95_ms").Value(Percentile(&ingest_all, 0.95))
-      .Key("ingest_p99_ms").Value(Percentile(&ingest_all, 0.99))
+      .Key("ingest_p50_ms").Value(bench::Percentile(&ingest_all, 0.50))
+      .Key("ingest_p95_ms").Value(bench::Percentile(&ingest_all, 0.95))
+      .Key("ingest_p99_ms").Value(bench::Percentile(&ingest_all, 0.99))
       .Key("query_sends").Value(query_all.size())
-      .Key("query_p50_ms").Value(Percentile(&query_all, 0.50))
-      .Key("query_p95_ms").Value(Percentile(&query_all, 0.95))
-      .Key("query_p99_ms").Value(Percentile(&query_all, 0.99))
+      .Key("query_p50_ms").Value(bench::Percentile(&query_all, 0.50))
+      .Key("query_p95_ms").Value(bench::Percentile(&query_all, 0.95))
+      .Key("query_p99_ms").Value(bench::Percentile(&query_all, 0.99))
       .EndObject();
   json.Key("compression")
       .BeginObject()

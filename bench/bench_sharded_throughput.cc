@@ -89,7 +89,6 @@
 #include "replication/replication_session.h"
 #include "data/blocking.h"
 #include "data/operations.h"
-#include "data/similarity_graph.h"
 #include "data/similarity_measures.h"
 #include "ml/logistic_regression.h"
 #include "objective/correlation.h"
@@ -120,7 +119,6 @@ struct BenchArgs {
   bool replication = true;       // run the delta-shipping section
   int catchup_every = 4;         // replication: follower catch-up cadence
   bool metrics_overhead = true;  // run the metrics-overhead guard
-  bool sim_core = true;          // run the seed-vs-indexed sim-core section
   bool read_path = true;         // run the epoch-pinned read-path section
   int read_clients = 2;          // fixed-rate open-loop reader threads
   int read_staleness_bound = 8;  // router max-staleness admission bound
@@ -229,13 +227,6 @@ struct Measurement {
   bool snapshot_identical = false;
 };
 
-double Percentile(std::vector<double>* values, double p) {
-  if (values->empty()) return 0.0;
-  std::sort(values->begin(), values->end());
-  size_t index = static_cast<size_t>(p * (values->size() - 1) + 0.5);
-  return (*values)[std::min(index, values->size() - 1)];
-}
-
 void FillPlacementHealth(const ShardedDynamicCService& service,
                          Measurement* m) {
   ServiceSnapshot snap = service.Snapshot();
@@ -343,8 +334,8 @@ Measurement RunOneAsync(uint32_t num_shards, const BenchArgs& args,
   m.round_wall_ms = flush.ingest.worker_round_ms;  // overlapped, not waited
   m.records_per_sec =
       m.serve_ms > 0.0 ? 1000.0 * m.records_served / m.serve_ms : 0.0;
-  m.enqueue_p50_us = Percentile(&enqueue_us, 0.50);
-  m.enqueue_p95_us = Percentile(&enqueue_us, 0.95);
+  m.enqueue_p50_us = bench::Percentile(&enqueue_us, 0.50);
+  m.enqueue_p95_us = bench::Percentile(&enqueue_us, 0.95);
   m.coalesced_ops = flush.ingest.coalesced_ops;
   m.worker_rounds = flush.ingest.worker_rounds;
   m.rejected_batches = flush.ingest.rejected_batches;
@@ -675,141 +666,6 @@ MetricsOverhead MeasureMetricsOverhead(
                        : 0.0;
   // Negative overhead is run-to-run noise in the idle arm's favor.
   m.within_2pct = m.overhead_pct <= 2.0;
-  return m;
-}
-
-/// Sim-core section: the seed scalar similarity loop vs the indexed
-/// batch core (and the core with history-guided pruning) on a stream
-/// built to have a stop-word blocking key. Every record carries a
-/// shared "common" token, so candidate lists grow with the whole
-/// shard-local universe while true edges stay within groups: the
-/// regime where per-pair kernel cost dominates serving (indexed wins)
-/// and where the cold "common" key's history earns its pruning
-/// (sim.calls collapses to the within-group candidates).
-///
-/// Token layout per record: "agrp<g>" (sorts before "common", so
-/// within-group candidates attribute to the hot group key), "common",
-/// and 6 globally-unique filler tokens. Within-group Jaccard is
-/// 2/14 ≈ 0.14 (≥ the 0.1 edge threshold), cross-group 1/15 ≈ 0.07
-/// (below it) — so pruning the "common" key drops no true edges and
-/// the pruned run's clustering stays identical too.
-constexpr int kSimCoreGroups = 48;
-constexpr int kSimCoreFiller = 6;
-
-DataOperation SimCoreAdd(int group, int* unique_counter) {
-  DataOperation op;
-  op.kind = DataOperation::Kind::kAdd;
-  op.record.entity = static_cast<uint32_t>(group);
-  op.record.tokens = {"agrp" + std::to_string(group), "common"};
-  for (int u = 0; u < kSimCoreFiller; ++u) {
-    op.record.tokens.push_back("u" + std::to_string((*unique_counter)++));
-  }
-  return op;
-}
-
-struct SimCoreRun {
-  double serve_ms = 0.0;
-  double records_per_sec = 0.0;
-  size_t records_served = 0;
-  uint64_t sim_calls = 0;
-  uint64_t sim_full = 0;
-  uint64_t sim_pruned = 0;
-  size_t final_clusters = 0;
-  std::vector<std::vector<ObjectId>> clusters;
-};
-
-SimCoreRun RunSimCore(const BenchArgs& args,
-                      const SimilarityGraph::Options& core,
-                      const std::vector<OperationBatch>& training,
-                      const std::vector<OperationBatch>& serving) {
-  obs::MetricsRegistry registry;
-  ShardedDynamicCService::Options options;
-  options.num_shards = 4;
-  options.num_threads = args.threads;
-  options.obs.metrics = &registry;
-  auto factory = [&core] {
-    ShardEnvironment env = MakeFactory()();
-    env.sim_core = core;
-    return env;
-  };
-  ShardedDynamicCService service(options, nullptr, factory);
-  for (const OperationBatch& batch : training) {
-    auto changed = service.ApplyOperations(batch);
-    service.ObserveBatchRound(changed);
-  }
-  SimCoreRun run;
-  Timer timer;
-  for (const OperationBatch& batch : serving) {
-    auto changed = service.ApplyOperations(batch);
-    service.DynamicRound(changed);
-    run.records_served += batch.size();
-  }
-  run.serve_ms = timer.ElapsedMillis();
-  run.records_per_sec =
-      run.serve_ms > 0.0 ? 1000.0 * run.records_served / run.serve_ms : 0.0;
-  run.sim_calls = registry.GetCounter("sim.calls")->value();
-  run.sim_full = registry.GetCounter("sim.full")->value();
-  run.sim_pruned = registry.GetCounter("sim.pruned")->value();
-  run.final_clusters = service.total_clusters();
-  run.clusters = service.GlobalClusters();
-  return run;
-}
-
-struct SimCoreMeasurement {
-  SimCoreRun seed;
-  SimCoreRun indexed;
-  SimCoreRun pruned;
-  bool indexed_identical = false;
-  bool pruned_identical = false;
-};
-
-SimCoreMeasurement MeasureSimCore(const BenchArgs& args) {
-  int unique = 0;
-  std::vector<OperationBatch> training;
-  for (int member = 0; member < 2; ++member) {
-    OperationBatch batch;
-    for (int g = 0; g < kSimCoreGroups; ++g) {
-      batch.push_back(SimCoreAdd(g, &unique));
-    }
-    training.push_back(std::move(batch));
-  }
-  std::vector<OperationBatch> serving;
-  for (int r = 0; r < args.rounds; ++r) {
-    OperationBatch batch;
-    for (int i = 0; i < args.per_round; ++i) {
-      batch.push_back(
-          SimCoreAdd((r * args.per_round + i) % kSimCoreGroups, &unique));
-    }
-    serving.push_back(std::move(batch));
-  }
-
-  SimilarityGraph::Options seed_core;
-  seed_core.use_feature_index = false;
-  SimilarityGraph::Options indexed_core;  // defaults: indexed + order
-  SimilarityGraph::Options pruned_core;
-  pruned_core.history = SimilarityGraph::HistoryMode::kPrune;
-
-  SimCoreMeasurement m;
-  // Interleaved arms per repeat, best serve time each — same estimator
-  // as the shard sweep. Counters are deterministic across repeats.
-  for (int rep = 0; rep < std::max(1, args.repeats); ++rep) {
-    SimCoreRun seed = RunSimCore(args, seed_core, training, serving);
-    SimCoreRun indexed = RunSimCore(args, indexed_core, training, serving);
-    SimCoreRun pruned = RunSimCore(args, pruned_core, training, serving);
-    if (rep == 0) {
-      m.indexed_identical = indexed.clusters == seed.clusters;
-      m.pruned_identical = pruned.clusters == seed.clusters;
-    }
-    if (rep == 0 || seed.serve_ms < m.seed.serve_ms) m.seed = seed;
-    if (rep == 0 || indexed.serve_ms < m.indexed.serve_ms) {
-      m.indexed = indexed;
-    }
-    if (rep == 0 || pruned.serve_ms < m.pruned.serve_ms) m.pruned = pruned;
-  }
-  // Cluster vectors served their equality check; don't keep them live.
-  m.seed.clusters.clear();
-  m.indexed.clusters.clear();
-  m.pruned.clusters.clear();
   return m;
 }
 
@@ -1191,8 +1047,6 @@ int main(int argc, char** argv) {
       args.catchup_every = next();
     else if (std::strcmp(argv[i], "--metrics-overhead") == 0)
       args.metrics_overhead = next() != 0;
-    else if (std::strcmp(argv[i], "--sim-core") == 0)
-      args.sim_core = next() != 0;
     else if (std::strcmp(argv[i], "--read-path") == 0)
       args.read_path = next() != 0;
     else if (std::strcmp(argv[i], "--read-clients") == 0)
@@ -1340,25 +1194,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(read_path.with_reads.router_queries),
         static_cast<unsigned long long>(read_path.max_staleness),
         args.read_staleness_bound);
-  }
-
-  // Sim-core section: seed scalar loop vs indexed batch core vs
-  // indexed+pruned on the stop-word-key stream.
-  SimCoreMeasurement sim_core;
-  if (args.sim_core) {
-    sim_core = MeasureSimCore(args);
-    std::fprintf(stderr,
-                 "sim core: seed %.0f rec/s (%llu calls) vs indexed %.0f "
-                 "rec/s (identical=%d) vs pruned %.0f rec/s "
-                 "(%llu calls, %llu pruned, identical=%d)\n",
-                 sim_core.seed.records_per_sec,
-                 static_cast<unsigned long long>(sim_core.seed.sim_calls),
-                 sim_core.indexed.records_per_sec,
-                 sim_core.indexed_identical ? 1 : 0,
-                 sim_core.pruned.records_per_sec,
-                 static_cast<unsigned long long>(sim_core.pruned.sim_calls),
-                 static_cast<unsigned long long>(sim_core.pruned.sim_pruned),
-                 sim_core.pruned_identical ? 1 : 0);
   }
 
   auto rate_of = [&results](const char* mode, uint32_t shards) {
@@ -1514,45 +1349,6 @@ int main(int argc, char** argv) {
     json.Key("follower_replay_lag_ms")
         .Value(replication.follower_replay_lag_ms);
     json.Key("follower_identical").Value(replication.identical ? 1 : 0);
-    json.EndObject();
-  }
-  if (args.sim_core) {
-    auto write_run = [&json](const char* key, const SimCoreRun& r) {
-      json.Key(key).BeginObject();
-      json.Key("records_per_sec").Value(r.records_per_sec);
-      json.Key("serve_ms").Value(r.serve_ms);
-      json.Key("records_served").Value(r.records_served);
-      json.Key("sim_calls").Value(static_cast<size_t>(r.sim_calls));
-      json.Key("sim_full").Value(static_cast<size_t>(r.sim_full));
-      json.Key("sim_pruned").Value(static_cast<size_t>(r.sim_pruned));
-      json.Key("final_clusters").Value(r.final_clusters);
-      json.EndObject();
-    };
-    json.Key("sim_core").BeginObject();
-    write_run("seed", sim_core.seed);
-    write_run("indexed", sim_core.indexed);
-    write_run("indexed_pruned", sim_core.pruned);
-    json.Key("indexed_vs_seed")
-        .Value(sim_core.seed.records_per_sec > 0.0
-                   ? sim_core.indexed.records_per_sec /
-                         sim_core.seed.records_per_sec
-                   : 0.0);
-    json.Key("pruned_vs_seed")
-        .Value(sim_core.seed.records_per_sec > 0.0
-                   ? sim_core.pruned.records_per_sec /
-                         sim_core.seed.records_per_sec
-                   : 0.0);
-    // The history payoff in calls: pruning the cold "common" key drops
-    // the cross-group candidates outright.
-    json.Key("calls_reduction_pct")
-        .Value(sim_core.seed.sim_calls > 0
-                   ? 100.0 * (1.0 - static_cast<double>(
-                                        sim_core.pruned.sim_calls) /
-                                        static_cast<double>(
-                                            sim_core.seed.sim_calls))
-                   : 0.0);
-    json.Key("indexed_identical").Value(sim_core.indexed_identical ? 1 : 0);
-    json.Key("pruned_identical").Value(sim_core.pruned_identical ? 1 : 0);
     json.EndObject();
   }
   if (args.read_path) {

@@ -6,6 +6,7 @@
 // table/series in the same orientation the paper uses, (c) a short
 // "paper-reported vs measured" note where applicable.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <iostream>
@@ -118,6 +119,15 @@ inline void PrintF1Table(const std::vector<Series>& series_list) {
 
 inline void Note(const std::string& text) {
   std::printf("note: %s\n", text.c_str());
+}
+
+/// Nearest-rank percentile (p in [0, 1]) of `values`, which it sorts in
+/// place; 0 when empty.
+inline double Percentile(std::vector<double>* values, double p) {
+  if (values->empty()) return 0.0;
+  std::sort(values->begin(), values->end());
+  size_t index = static_cast<size_t>(p * (values->size() - 1) + 0.5);
+  return (*values)[std::min(index, values->size() - 1)];
 }
 
 /// Minimal JSON emitter for benches whose output is consumed by plotting

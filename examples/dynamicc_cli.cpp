@@ -14,8 +14,6 @@
 //   --seed      stream seed override (0 = generator default)
 //   --kmeans-k  cluster count for the kmeans task
 //   --csv       emit CSV instead of aligned tables
-//   --sim-core  seed | indexed similarity hot path (default indexed;
-//               both cores produce byte-identical clusterings)
 //
 // Sharded serving (src/service/): --shards N partitions the stream over
 // N concurrent engines instead of the single-engine harness path
@@ -153,14 +151,6 @@ struct CliArgs {
   std::string metrics_out;
   uint32_t metrics_every = 0;
   std::string trace_out;
-  /// Similarity core: --sim-core seed runs the scalar per-pair loop the
-  /// repo started with; indexed (default) runs the batched feature-index
-  /// kernels (bit-identical clustering either way). --sim-history picks
-  /// the candidate-history mode: off, order (default; scoring order
-  /// only, still exact) or prune (approximate, skips historically cold
-  /// blocking keys).
-  std::string sim_core = "indexed";
-  std::string sim_history = "order";
   /// Read path: --serve-reads publishes an epoch-pinned read view at
   /// every sealed epoch and runs --read-clients concurrent reader
   /// threads through a ReadRouter while the stream is being served
@@ -308,23 +298,6 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       const char* v = next();
       if (v == nullptr) return false;
       args->trace_out = v;
-    } else if (flag == "--sim-core") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->sim_core = v;
-      if (args->sim_core != "seed" && args->sim_core != "indexed") {
-        std::fprintf(stderr, "--sim-core must be seed or indexed\n");
-        return false;
-      }
-    } else if (flag == "--sim-history") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->sim_history = v;
-      if (args->sim_history != "off" && args->sim_history != "order" &&
-          args->sim_history != "prune") {
-        std::fprintf(stderr, "--sim-history must be off, order or prune\n");
-        return false;
-      }
     } else if (flag == "--serve-reads") {
       args->serve_reads = true;
     } else if (flag == "--read-clients") {
@@ -439,10 +412,6 @@ void Usage() {
       "  ends in .csv) at the end of the run, --metrics-every K also\n"
       "  after every K stream snapshots; --trace-out FILE flushes epoch\n"
       "  trace spans as Chrome-trace JSON.\n"
-      "  --sim-core seed|indexed picks the similarity hot path (indexed\n"
-      "  = batched feature-index kernels, the default; both produce the\n"
-      "  same clustering); --sim-history off|order|prune sets the\n"
-      "  candidate-history mode (prune is approximate).\n"
       "  --serve-reads publishes an epoch-pinned read view per sealed\n"
       "  epoch and serves --read-clients N concurrent reader threads\n"
       "  through a ReadRouter while the stream runs (lock-free; the\n"
@@ -532,7 +501,6 @@ ShardEnvironmentFactory MakeShardFactory(const ExperimentConfig& config) {
     env.measure = std::move(profile.measure);
     env.blocker = std::move(profile.blocker);
     env.min_similarity = profile.min_similarity;
-    env.sim_core = config.sim_core;
     if (config.task == TaskKind::kDbscan) {
       // Validator-only environment: DBSCAN has no objective, and its
       // core-stability validator binds to the shard's similarity graph,
@@ -1607,12 +1575,6 @@ int main(int argc, char** argv) {
   config.scale = args.scale;
   config.seed = args.seed;
   config.kmeans_k = args.kmeans_k;
-  config.sim_core.use_feature_index = args.sim_core == "indexed";
-  config.sim_core.history =
-      args.sim_history == "off"
-          ? SimilarityGraph::HistoryMode::kOff
-          : args.sim_history == "prune" ? SimilarityGraph::HistoryMode::kPrune
-                                        : SimilarityGraph::HistoryMode::kOrder;
   if (config.task == TaskKind::kDbscan) {
     config.dbscan.min_pts = 4;
     config.dbscan.eps_similarity = 0.5;

@@ -99,19 +99,15 @@ ClusterStatsTracker::MaxInter ClusterStatsTracker::MaxAverageInter(
   if (it == inter_.end()) return best;
   // Single pass over the row: the per-pair sums are already in hand, so
   // the InterSum() lookup AverageInterSimilarity would redo per neighbor
-  // is skipped. Sorted by id first, so equal averages resolve to the
-  // same winner as the InterNeighbors()-ordered loop this replaces.
-  std::vector<std::pair<ClusterId, double>> row;
-  row.reserve(it->second.size());
-  for (const auto& [other, sum] : it->second) {
-    if (sum > kEpsilon) row.emplace_back(other, sum);
-  }
-  std::sort(row.begin(), row.end());
+  // is skipped. Equal averages resolve to the lower id, the same winner
+  // as a scan in ascending id order (InterNeighbors() order).
   double size_a = static_cast<double>(clustering_->ClusterSize(cluster));
-  for (const auto& [other, sum] : row) {
+  for (const auto& [other, sum] : it->second) {
+    if (sum <= kEpsilon) continue;
     double pairs = size_a * static_cast<double>(clustering_->ClusterSize(other));
     double avg = pairs == 0.0 ? 0.0 : sum / pairs;
-    if (avg > best.average) {
+    if (avg > best.average ||
+        (avg == best.average && avg > 0.0 && other < best.cluster)) {
       best.average = avg;
       best.cluster = other;
     }

@@ -8,16 +8,6 @@
 
 namespace dynamicc {
 
-// ------------------------------------------------------- CandidateProvider
-
-KeyedCandidates CandidateProvider::CandidatesWithKeys(
-    const Record& record) const {
-  KeyedCandidates out;
-  out.ids = Candidates(record);
-  out.keys.assign(out.ids.size(), 0);
-  return out;
-}
-
 // ---------------------------------------------------------------- AllPairs
 
 std::vector<ObjectId> AllPairsBlocker::Candidates(const Record& record) const {
@@ -76,33 +66,6 @@ std::vector<ObjectId> TokenBlocker::Candidates(const Record& record) const {
     }
   }
   return {seen.begin(), seen.end()};
-}
-
-KeyedCandidates TokenBlocker::CandidatesWithKeys(const Record& record) const {
-  // Mirrors Candidates() insertion-for-insertion: the same sequence of
-  // unordered_set inserts yields the same iteration order, so the id
-  // sequence is identical and callers can toggle keyed enumeration
-  // without perturbing downstream edge-insertion order.
-  std::unordered_set<ObjectId> seen;
-  std::unordered_map<ObjectId, uint64_t> key_of;
-  for (const auto& key : KeysFor(record)) {
-    auto it = index_.find(key);
-    if (it == index_.end()) continue;
-    if (it->second.size() > max_bucket_) continue;  // stop-word-like key
-    uint64_t key_hash = 0;
-    for (ObjectId id : it->second) {
-      if (id == record.id) continue;
-      if (seen.insert(id).second) {
-        if (key_hash == 0) key_hash = BlockingKeyHash(key);
-        key_of.emplace(id, key_hash);
-      }
-    }
-  }
-  KeyedCandidates out;
-  out.ids.assign(seen.begin(), seen.end());
-  out.keys.reserve(out.ids.size());
-  for (ObjectId id : out.ids) out.keys.push_back(key_of[id]);
-  return out;
 }
 
 void TokenBlocker::Add(const Record& record) {
@@ -217,35 +180,6 @@ std::vector<ObjectId> GridBlocker::Candidates(const Record& record) const {
         if (it == cells_.end()) continue;
         for (ObjectId id : it->second) {
           if (id != record.id) out.push_back(id);
-        }
-      }
-    }
-  }
-  return out;
-}
-
-KeyedCandidates GridBlocker::CandidatesWithKeys(const Record& record) const {
-  int64_t base[3];
-  CellCoords(record, base);
-  KeyedCandidates out;
-  int dims = std::min<int>(3, static_cast<int>(record.numeric.size()));
-  int64_t probe[3];
-  for (int dx = -1; dx <= 1; ++dx) {
-    for (int dy = -1; dy <= 1; ++dy) {
-      for (int dz = -1; dz <= 1; ++dz) {
-        if (dims < 2 && dy != 0) continue;
-        if (dims < 3 && dz != 0) continue;
-        probe[0] = base[0] + dx;
-        probe[1] = base[1] + dy;
-        probe[2] = base[2] + dz;
-        CellKey cell = PackCoords(probe);
-        auto it = cells_.find(cell);
-        if (it == cells_.end()) continue;
-        for (ObjectId id : it->second) {
-          if (id != record.id) {
-            out.ids.push_back(id);
-            out.keys.push_back(cell);
-          }
         }
       }
     }

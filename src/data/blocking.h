@@ -13,16 +13,6 @@
 
 namespace dynamicc {
 
-/// Candidate list annotated with the blocking key that contributed each
-/// candidate (keys[i] is a BlockingKeyHash-style 64-bit key identity for
-/// ids[i]; 0 when the provider has no key notion). The similarity graph
-/// feeds these keys into its candidate history (data/candidate_history.h)
-/// to order and — in approximate mode — prune scoring work.
-struct KeyedCandidates {
-  std::vector<ObjectId> ids;
-  std::vector<uint64_t> keys;
-};
-
 /// Produces, for a given record, the set of existing objects that could be
 /// similar to it (candidate pairs). The similarity graph only scores
 /// candidate pairs, which is what makes the system scale past quadratic
@@ -37,13 +27,6 @@ class CandidateProvider {
   /// Candidates among currently indexed objects for `record` (which may or
   /// may not itself be indexed; it is excluded from the result if it is).
   virtual std::vector<ObjectId> Candidates(const Record& record) const = 0;
-
-  /// Candidates plus the contributing blocking key of each. The id
-  /// sequence MUST be identical to Candidates(record) — callers rely on
-  /// that to keep edge-insertion order (and therefore clustering output)
-  /// byte-identical whether or not they ask for keys. The base
-  /// implementation wraps Candidates() with key 0 for every id.
-  virtual KeyedCandidates CandidatesWithKeys(const Record& record) const;
 
   virtual void Add(const Record& record) = 0;
   virtual void Remove(const Record& record) = 0;
@@ -76,10 +59,6 @@ class TokenBlocker final : public CandidateProvider {
   explicit TokenBlocker(int prefix_len = 0, size_t max_bucket = 512);
 
   std::vector<ObjectId> Candidates(const Record& record) const override;
-  /// Same id sequence as Candidates(); keys[i] is the BlockingKeyHash of
-  /// the first key (in sorted key order) whose posting list contributed
-  /// ids[i].
-  KeyedCandidates CandidatesWithKeys(const Record& record) const override;
   void Add(const Record& record) override;
   void Remove(const Record& record) override;
   void Update(const Record& old_record, const Record& new_record) override;
@@ -135,9 +114,6 @@ class GridBlocker final : public CandidateProvider {
   explicit GridBlocker(double cell_size);
 
   std::vector<ObjectId> Candidates(const Record& record) const override;
-  /// Same id sequence as Candidates(); keys[i] is the packed cell key of
-  /// the grid cell ids[i] was found in.
-  KeyedCandidates CandidatesWithKeys(const Record& record) const override;
   void Add(const Record& record) override;
   void Remove(const Record& record) override;
   void Update(const Record& old_record, const Record& new_record) override;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
-#include <numeric>
 
 #include "obs/metrics.h"
 #include "util/logging.h"
@@ -12,36 +11,21 @@ namespace dynamicc {
 
 SimilarityGraph::SimilarityGraph(
     const Dataset* dataset, const SimilarityMeasure* measure,
-    std::unique_ptr<CandidateProvider> candidates, double min_similarity)
-    : SimilarityGraph(dataset, measure, std::move(candidates), min_similarity,
-                      Options{}) {}
-
-SimilarityGraph::SimilarityGraph(
-    const Dataset* dataset, const SimilarityMeasure* measure,
     std::unique_ptr<CandidateProvider> candidates, double min_similarity,
-    const Options& options)
+    obs::MetricsRegistry* metrics)
     : dataset_(dataset),
       measure_(measure),
       candidates_(std::move(candidates)),
-      min_similarity_(min_similarity),
-      options_(options) {
+      min_similarity_(min_similarity) {
   DYNAMICC_CHECK(dataset_ != nullptr);
   DYNAMICC_CHECK(measure_ != nullptr);
   DYNAMICC_CHECK(candidates_ != nullptr);
-  if (options_.use_feature_index) {
-    uint32_t needs = measure_->FeatureNeeds();
-    if (needs != 0) {
-      features_ = std::make_unique<FeatureIndex>(needs);
-    }
-    if (options_.history != HistoryMode::kOff) {
-      history_ = std::make_unique<CandidateHistory>(options_.history_options);
-    }
-  }
-  if (options_.metrics != nullptr) {
-    sim_calls_ = options_.metrics->GetCounter("sim.calls");
-    sim_full_ = options_.metrics->GetCounter("sim.full");
-    sim_pruned_ = options_.metrics->GetCounter("sim.pruned");
-    sim_batch_ns_ = options_.metrics->GetHistogram("sim.batch_ns");
+  uint32_t needs = measure_->FeatureNeeds();
+  if (needs != 0) features_ = std::make_unique<FeatureIndex>(needs);
+  if (metrics != nullptr) {
+    sim_calls_ = metrics->GetCounter("sim.calls");
+    sim_full_ = metrics->GetCounter("sim.full");
+    sim_batch_ns_ = metrics->GetHistogram("sim.batch_ns");
   }
 }
 
@@ -54,32 +38,7 @@ void SimilarityGraph::AddObject(ObjectId id) {
   candidates_->Add(record);
 }
 
-void SimilarityGraph::ScoreAgainstCandidatesScalar(ObjectId id) {
-  // The seed path, kept verbatim: one virtual Similarity call per pair,
-  // edges inserted in candidate-enumeration order. The batch core below
-  // is bit-compatible with this loop; equivalence tests diff the two.
-  const Record& record = dataset_->Get(id);
-  size_t calls = 0;
-  for (ObjectId other : candidates_->Candidates(record)) {
-    auto it = adjacency_.find(other);
-    if (it == adjacency_.end()) continue;  // candidate no longer in graph
-    ++calls;
-    double s = measure_->Similarity(record, dataset_->Get(other));
-    if (s >= min_similarity_) {
-      adjacency_[id][other] = s;
-      it->second[id] = s;
-      ++num_edges_;
-    }
-  }
-  if (sim_calls_ != nullptr) sim_calls_->Add(calls);
-  if (sim_full_ != nullptr) sim_full_->Add(calls);
-}
-
 void SimilarityGraph::ScoreAgainstCandidates(ObjectId id) {
-  if (!options_.use_feature_index) {
-    ScoreAgainstCandidatesScalar(id);
-    return;
-  }
   const bool timed = sim_batch_ns_ != nullptr;
   const auto t0 = timed ? std::chrono::steady_clock::now()
                         : std::chrono::steady_clock::time_point{};
@@ -88,106 +47,41 @@ void SimilarityGraph::ScoreAgainstCandidates(ObjectId id) {
   const RecordFeatures* probe_features =
       features_ != nullptr ? features_->Find(id) : nullptr;
 
-  // Gather candidates (keyed only when history wants the keys), then
-  // filter to graph members preserving the enumeration order — the
-  // order the seed path would have inserted edges in.
-  struct Gathered {
-    ObjectId other;
-    uint64_t key;
-    std::unordered_map<ObjectId, double>* row;
-  };
-  std::vector<Gathered> cands;
-  size_t pruned = 0;
-  if (history_ != nullptr) {
-    KeyedCandidates keyed = candidates_->CandidatesWithKeys(record);
-    cands.reserve(keyed.ids.size());
-    const bool prune = options_.history == HistoryMode::kPrune;
-    for (size_t i = 0; i < keyed.ids.size(); ++i) {
-      auto it = adjacency_.find(keyed.ids[i]);
-      if (it == adjacency_.end()) continue;  // candidate no longer in graph
-      uint64_t key = keyed.keys[i];
-      if (prune && key != 0 &&
-          history_->Trials(key) >= options_.prune_min_trials &&
-          history_->HitRate(key) < options_.prune_below_hit_rate) {
-        ++pruned;  // approximate mode: historically cold key, skip
-        continue;
-      }
-      cands.push_back({keyed.ids[i], key, &it->second});
-    }
-  } else {
-    std::vector<ObjectId> ids = candidates_->Candidates(record);
-    cands.reserve(ids.size());
-    for (ObjectId other : ids) {
-      auto it = adjacency_.find(other);
-      if (it == adjacency_.end()) continue;
-      cands.push_back({other, 0, &it->second});
-    }
+  // Filter the candidates to graph members, keeping enumeration order:
+  // edges are inserted in that order below.
+  std::vector<ObjectId> ids = candidates_->Candidates(record);
+  std::vector<std::unordered_map<ObjectId, double>*> rows;
+  std::vector<SimCandidate> batch;
+  rows.reserve(ids.size());
+  batch.reserve(ids.size());
+  for (ObjectId other : ids) {
+    auto it = adjacency_.find(other);
+    if (it == adjacency_.end()) continue;  // candidate no longer in graph
+    ids[rows.size()] = other;  // compact the members in place
+    rows.push_back(&it->second);
+    batch.push_back({&dataset_->Get(other),
+                     features_ != nullptr ? features_->Find(other) : nullptr});
   }
-
-  const size_t n = cands.size();
-  // Scoring permutation: by descending historical hit rate (stable, so
-  // equal rates keep enumeration order). Only the *scoring* order moves;
-  // edges are inserted through the original order below.
-  std::vector<uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0u);
-  if (history_ != nullptr && n > 1) {
-    std::vector<double> rate(n);
-    for (size_t i = 0; i < n; ++i) {
-      rate[i] = cands[i].key == 0 ? history_->options().prior_hits /
-                                        history_->options().prior_trials
-                                  : history_->HitRate(cands[i].key);
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [&rate](uint32_t a, uint32_t b) {
-                       return rate[a] > rate[b];
-                     });
-  }
+  const size_t n = rows.size();
 
   // One batched call scores the whole candidate list.
-  std::vector<SimCandidate> batch(n);
-  for (size_t k = 0; k < n; ++k) {
-    const Gathered& c = cands[order[k]];
-    batch[k].record = &dataset_->Get(c.other);
-    batch[k].features =
-        features_ != nullptr ? features_->Find(c.other) : nullptr;
-  }
-  std::vector<double> permuted_scores(n);
-  size_t full = measure_->SimilarityBatch(record, probe_features, batch.data(),
-                                          n, min_similarity_,
-                                          permuted_scores.data());
   std::vector<double> scores(n);
-  for (size_t k = 0; k < n; ++k) scores[order[k]] = permuted_scores[k];
+  size_t full = measure_->SimilarityBatch(record, probe_features, batch.data(),
+                                          n, min_similarity_, scores.data());
 
-  // Edge insertion in original enumeration order — this is what keeps
-  // Neighbors() iteration (and with it every downstream FP accumulation)
-  // byte-identical to the scalar path.
+  // Edge insertion in enumeration order keeps Neighbors() iteration (and
+  // with it every downstream FP accumulation) deterministic.
   for (size_t i = 0; i < n; ++i) {
     double s = scores[i];
     if (s >= min_similarity_) {
-      adjacency_[id][cands[i].other] = s;
-      (*cands[i].row)[id] = s;
+      adjacency_[id][ids[i]] = s;
+      (*rows[i])[id] = s;
       ++num_edges_;
-    }
-  }
-
-  if (history_ != nullptr) {
-    // Fold this probe's outcomes into the per-key history, aggregated
-    // per key first so each key costs one map touch.
-    std::unordered_map<uint64_t, std::pair<uint64_t, uint64_t>> agg;
-    for (size_t i = 0; i < n; ++i) {
-      if (cands[i].key == 0) continue;
-      auto& entry = agg[cands[i].key];
-      ++entry.first;
-      if (scores[i] >= min_similarity_) ++entry.second;
-    }
-    for (const auto& [key, stats] : agg) {
-      history_->RecordOutcome(key, stats.first, stats.second);
     }
   }
 
   if (sim_calls_ != nullptr) sim_calls_->Add(n);
   if (sim_full_ != nullptr) sim_full_->Add(full);
-  if (sim_pruned_ != nullptr && pruned > 0) sim_pruned_->Add(pruned);
   if (timed) {
     auto dt = std::chrono::steady_clock::now() - t0;
     sim_batch_ns_->Record(static_cast<double>(

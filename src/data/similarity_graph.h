@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "data/blocking.h"
-#include "data/candidate_history.h"
 #include "data/dataset.h"
 #include "data/feature_index.h"
 #include "data/similarity.h"
@@ -32,59 +31,20 @@ class Histogram;
 ///
 /// Scoring runs through a two-phase core (see docs/similarity.md): a
 /// per-record FeatureIndex built once at Add/Update, and one batched
-/// threshold-aware SimilarityBatch call per probe. The default
-/// configuration is bit-identical to scoring each pair with the scalar
-/// Similarity() in candidate-enumeration order — the batch kernels'
-/// threshold contract plus original-order edge insertion guarantee it —
-/// so clustering output does not depend on which core is active.
+/// threshold-aware SimilarityBatch call per probe. Edges are inserted in
+/// candidate-enumeration order, and the batch kernels' threshold contract
+/// makes every score bit-identical to the scalar Similarity(), so the
+/// graph equals the one a per-pair Similarity() loop would build.
 class SimilarityGraph {
  public:
-  /// How candidate-history statistics (data/candidate_history.h) shape
-  /// the scoring of a probe's candidate list.
-  enum class HistoryMode {
-    /// No history is kept.
-    kOff,
-    /// Candidates are *scored* in descending historical hit-rate order
-    /// (warms the early-exit bounds with likely edges first), but edges
-    /// are still inserted in the original enumeration order, so the
-    /// clustering output stays byte-identical. The default.
-    kOrder,
-    /// Additionally skips candidates whose blocking key's smoothed
-    /// hit rate fell below `prune_below_hit_rate` after at least
-    /// `prune_min_trials` scored pairs. Approximate: may miss edges.
-    /// Opt-in only.
-    kPrune,
-  };
-
-  struct Options {
-    /// Use the indexed batch core. When false, scoring is the seed
-    /// scalar loop (per-pair virtual Similarity call); the feature
-    /// index and history are not built at all.
-    bool use_feature_index = true;
-
-    HistoryMode history = HistoryMode::kOrder;
-
-    /// kPrune knobs: skip a key's candidates when its smoothed hit rate
-    /// is below the floor and it has at least `prune_min_trials`
-    /// historical scored pairs.
-    double prune_below_hit_rate = 0.02;
-    uint64_t prune_min_trials = 32;
-    CandidateHistory::Options history_options;
-
-    /// When set, the graph reports sim.calls / sim.full / sim.pruned
-    /// counters and the sim.batch_ns histogram here (docs/metrics.md).
-    obs::MetricsRegistry* metrics = nullptr;
-  };
-
   /// The graph keeps (non-owning) references to `dataset` and `measure`,
   /// and owns the candidate provider. Both referents must outlive the graph.
+  /// When `metrics` is set, the graph reports the sim.calls / sim.full
+  /// counters and the sim.batch_ns histogram there (docs/metrics.md).
   SimilarityGraph(const Dataset* dataset, const SimilarityMeasure* measure,
                   std::unique_ptr<CandidateProvider> candidates,
-                  double min_similarity);
-
-  SimilarityGraph(const Dataset* dataset, const SimilarityMeasure* measure,
-                  std::unique_ptr<CandidateProvider> candidates,
-                  double min_similarity, const Options& options);
+                  double min_similarity,
+                  obs::MetricsRegistry* metrics = nullptr);
 
   SimilarityGraph(const SimilarityGraph&) = delete;
   SimilarityGraph& operator=(const SimilarityGraph&) = delete;
@@ -122,14 +82,9 @@ class SimilarityGraph {
   double min_similarity() const { return min_similarity_; }
   const Dataset& dataset() const { return *dataset_; }
   const SimilarityMeasure& measure() const { return *measure_; }
-  const Options& options() const { return options_; }
 
-  /// The feature index, or nullptr when running the seed scalar core.
+  /// The feature index, or nullptr when the measure needs no features.
   const FeatureIndex* feature_index() const { return features_.get(); }
-
-  /// The candidate history, or nullptr when history is off (or the
-  /// scalar core is active).
-  const CandidateHistory* candidate_history() const { return history_.get(); }
 
   /// Connected components induced by the edges (singletons included).
   /// Used for "active cluster" detection in negative sampling (§5.3).
@@ -137,22 +92,18 @@ class SimilarityGraph {
 
  private:
   void ScoreAgainstCandidates(ObjectId id);
-  void ScoreAgainstCandidatesScalar(ObjectId id);
   void DropEdges(ObjectId id);
 
   const Dataset* dataset_;
   const SimilarityMeasure* measure_;
   std::unique_ptr<CandidateProvider> candidates_;
   double min_similarity_;
-  Options options_;
 
-  std::unique_ptr<FeatureIndex> features_;    // null in scalar mode
-  std::unique_ptr<CandidateHistory> history_;  // null when history off
+  std::unique_ptr<FeatureIndex> features_;  // null when no features needed
 
   // Metric handles resolved once at construction (null when unmetered).
   obs::Counter* sim_calls_ = nullptr;
   obs::Counter* sim_full_ = nullptr;
-  obs::Counter* sim_pruned_ = nullptr;
   obs::Histogram* sim_batch_ns_ = nullptr;
 
   std::unordered_map<ObjectId, std::unordered_map<ObjectId, double>>

@@ -234,7 +234,7 @@ std::unique_ptr<ExperimentHarness::RunEnv> ExperimentHarness::MakeEnv() {
   DatasetProfile profile = MakeProfile(config_.workload);
   env->graph = std::make_unique<SimilarityGraph>(
       &env->dataset, profile.measure.get(), std::move(profile.blocker),
-      profile.min_similarity, config_.sim_core);
+      profile.min_similarity);
   env->profile = std::move(profile);  // keeps the measure alive
   env->engine = std::make_unique<ClusteringEngine>(env->graph.get());
 

@@ -72,11 +72,6 @@ struct ExperimentConfig {
   /// Compute quality metrics against per-snapshot batch references. Turn
   /// off for latency-only sweeps (saves the reference batch runs).
   bool compute_quality = true;
-
-  /// Similarity-core configuration of the run's graph (indexed batch
-  /// kernels vs seed scalar loop, candidate-history mode). The default
-  /// (indexed, order-only history) is byte-identical to the scalar core.
-  SimilarityGraph::Options sim_core;
 };
 
 /// One method's measurement at one snapshot.

@@ -47,11 +47,10 @@ ShardedDynamicCService::ShardedDynamicCService(
     DYNAMICC_CHECK(shard->env.batch != nullptr);
     DYNAMICC_CHECK(shard->env.merge_model != nullptr);
     DYNAMICC_CHECK(shard->env.split_model != nullptr);
-    SimilarityGraph::Options sim_core = shard->env.sim_core;
-    sim_core.metrics = options_.obs.metrics;
     shard->graph = std::make_unique<SimilarityGraph>(
         &shard->dataset, shard->env.measure.get(),
-        std::move(shard->env.blocker), shard->env.min_similarity, sim_core);
+        std::move(shard->env.blocker), shard->env.min_similarity,
+        options_.obs.metrics);
     // Validator-only environments (DBSCAN) build their validator against
     // the shard's graph, which only exists now.
     if (shard->env.validator == nullptr && shard->env.validator_factory) {

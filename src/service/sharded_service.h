@@ -45,11 +45,6 @@ struct ShardEnvironment {
   std::unique_ptr<SimilarityMeasure> measure;
   std::unique_ptr<CandidateProvider> blocker;
   double min_similarity = 0.1;
-  /// Similarity-core configuration of the shard's graph (indexed batch
-  /// kernels vs seed scalar loop, candidate-history mode). The service
-  /// injects its own obs registry into the copy it passes to the graph,
-  /// so leave `sim_core.metrics` null here.
-  SimilarityGraph::Options sim_core;
   std::unique_ptr<ObjectiveFunction> objective;
   std::unique_ptr<ChangeValidator> validator;
   /// Validator-only environments (DBSCAN) leave `validator` null and set

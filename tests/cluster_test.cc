@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -270,6 +271,31 @@ TEST_F(EngineFixture, AverageIntraAndInter) {
   auto max_inter = engine.stats().MaxAverageInter(ab);
   EXPECT_EQ(max_inter.cluster, cd);
   EXPECT_NEAR(max_inter.average, expected_inter, 1e-12);
+}
+
+TEST_F(EngineFixture, MaxAverageInterBreaksTiesOnLowestId) {
+  // Six identical points tie for the hub's best neighbor; a farther point
+  // is weaker. The winner is the lowest tied cluster id, whatever order
+  // the inter row iterates in.
+  ObjectId hub = AddPoint(0.0);
+  std::vector<ObjectId> tied;
+  for (int i = 0; i < 6; ++i) tied.push_back(AddPoint(1.0));
+  AddPoint(2.0);
+  ClusteringEngine engine(&graph_);
+  engine.InitSingletons();
+  ClusterId hub_cluster = engine.clustering().ClusterOf(hub);
+  ClusterId lowest = kInvalidCluster;
+  for (ObjectId id : tied) {
+    lowest = std::min(lowest, engine.clustering().ClusterOf(id));
+  }
+  auto max_inter = engine.stats().MaxAverageInter(hub_cluster);
+  EXPECT_EQ(max_inter.cluster, lowest);
+  EXPECT_EQ(max_inter.average, graph_.Similarity(hub, tied[0]));
+  // No inter edges: the sentinel with a zero average.
+  ObjectId far = AddPoint(100.0);
+  auto none = engine.stats().MaxAverageInter(engine.AddObjectAsSingleton(far));
+  EXPECT_EQ(none.cluster, kInvalidCluster);
+  EXPECT_EQ(none.average, 0.0);
 }
 
 TEST_F(EngineFixture, SingletonAverageIntraIsOne) {

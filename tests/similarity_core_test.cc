@@ -1,8 +1,8 @@
-// Tests of the two-phase similarity core (PR 7): the per-record
-// FeatureIndex, the batched threshold-aware kernels, candidate history,
-// and — the load-bearing claim — bit-identity between the indexed core
-// and the seed scalar path, from single kernels all the way up to the
-// sharded service's clustering output.
+// Tests of the two-phase similarity core: the per-record FeatureIndex,
+// the batched threshold-aware kernels, and — the load-bearing claim —
+// bit-identity between the indexed core and a scalar oracle that scores
+// every pair with Similarity(), from single kernels all the way up to
+// the sharded service's clustering output.
 
 #include <algorithm>
 #include <cmath>
@@ -17,12 +17,10 @@
 #include <gtest/gtest.h>
 
 #include "data/blocking.h"
-#include "data/candidate_history.h"
 #include "data/dataset.h"
 #include "data/feature_index.h"
 #include "data/similarity_graph.h"
 #include "data/similarity_measures.h"
-#include "obs/metrics.h"
 #include "service/sharded_service.h"
 #include "service_test_util.h"
 #include "util/rng.h"
@@ -355,63 +353,26 @@ TEST(SimilarityBatch, ThresholdSkipsReduceFullEvaluations) {
   EXPECT_EQ(full, batch.size());
 }
 
-// ------------------------------------------------------- candidate history
-
-TEST(CandidateHistory, SmoothedRatesAndCounts) {
-  CandidateHistory history;
-  // Cold key reads the prior: 1/2.
-  EXPECT_DOUBLE_EQ(history.HitRate(42), 0.5);
-  EXPECT_EQ(history.Trials(42), 0u);
-  history.RecordOutcome(42, 10, 1);
-  EXPECT_EQ(history.Trials(42), 10u);
-  EXPECT_DOUBLE_EQ(history.HitRate(42), (1.0 + 1.0) / (2.0 + 10.0));
-  history.RecordOutcome(42, 10, 9);
-  EXPECT_EQ(history.Trials(42), 20u);
-  EXPECT_DOUBLE_EQ(history.HitRate(42), (1.0 + 10.0) / (2.0 + 20.0));
-  // Zero-trial outcomes are ignored, unknown keys never materialize.
-  history.RecordOutcome(7, 0, 0);
-  EXPECT_EQ(history.Find(7), nullptr);
-  EXPECT_EQ(history.size(), 1u);
-}
-
-// ------------------------------------------------------ keyed enumeration
-
-TEST(Blocking, CandidatesWithKeysMatchesCandidatesOrder) {
-  Rng rng(29);
-  TokenBlocker token_blocker(/*prefix_len=*/3);
-  GridBlocker grid_blocker(4.0);
-  std::vector<Record> indexed;
-  for (int i = 0; i < 120; ++i) {
-    Record record = RandomRecord(rng);
-    record.numeric.resize(2);
-    record.numeric[0] = rng.Uniform(-20.0, 20.0);
-    record.numeric[1] = rng.Uniform(-20.0, 20.0);
-    record.id = static_cast<ObjectId>(i);
-    token_blocker.Add(record);
-    grid_blocker.Add(record);
-    indexed.push_back(std::move(record));
-  }
-  for (int i = 0; i < 40; ++i) {
-    const Record& probe = indexed[rng.Index(indexed.size())];
-    for (const CandidateProvider* provider :
-         {static_cast<const CandidateProvider*>(&token_blocker),
-          static_cast<const CandidateProvider*>(&grid_blocker)}) {
-      std::vector<ObjectId> plain = provider->Candidates(probe);
-      KeyedCandidates keyed = provider->CandidatesWithKeys(probe);
-      EXPECT_EQ(keyed.ids, plain);
-      EXPECT_EQ(keyed.keys.size(), keyed.ids.size());
-    }
-  }
-  // The default implementation (AllPairsBlocker) reports key 0.
-  AllPairsBlocker all_pairs;
-  all_pairs.Add(indexed[0]);
-  all_pairs.Add(indexed[1]);
-  KeyedCandidates keyed = all_pairs.CandidatesWithKeys(indexed[0]);
-  ASSERT_EQ(keyed.ids.size(), 1u);
-  EXPECT_EQ(keyed.keys[0], 0u);
-}
-
 // ----------------------------------------------------- graph equivalence
+
+/// The scalar oracle: forwards Similarity() to the wrapped measure but
+/// asks for no features and keeps the base SimilarityBatch, so a graph
+/// over it builds no feature index and scores every candidate pair with
+/// the scalar Similarity(), in enumeration order.
+class ScalarOracle final : public SimilarityMeasure {
+ public:
+  explicit ScalarOracle(std::unique_ptr<SimilarityMeasure> inner)
+      : inner_(std::move(inner)) {}
+
+  double Similarity(const Record& a, const Record& b) const override {
+    return inner_->Similarity(a, b);
+  }
+  uint32_t FeatureNeeds() const override { return 0; }
+  const char* Name() const override { return "scalar-oracle"; }
+
+ private:
+  std::unique_ptr<SimilarityMeasure> inner_;
+};
 
 /// Drives two graphs over one dataset through an identical random
 /// add/update/remove stream and requires identical adjacency — including
@@ -434,14 +395,12 @@ TEST(SimilarityGraphCore, IndexedMatchesSeedScalarTokenWorkload) {
   Rng rng(31);
   Dataset dataset;
   JaccardSimilarity measure;
-  SimilarityGraph::Options seed_options;
-  seed_options.use_feature_index = false;
-  SimilarityGraph seed(&dataset, &measure, std::make_unique<TokenBlocker>(),
-                      0.3, seed_options);
+  ScalarOracle oracle(std::make_unique<JaccardSimilarity>());
+  SimilarityGraph seed(&dataset, &oracle, std::make_unique<TokenBlocker>(),
+                      0.3);
   SimilarityGraph indexed(&dataset, &measure,
                           std::make_unique<TokenBlocker>(), 0.3);
   ASSERT_NE(indexed.feature_index(), nullptr);
-  ASSERT_NE(indexed.candidate_history(), nullptr);
   EXPECT_EQ(seed.feature_index(), nullptr);
 
   std::vector<ObjectId> alive;
@@ -480,10 +439,10 @@ TEST(SimilarityGraphCore, IndexedMatchesSeedScalarNumericWorkload) {
   Rng rng(37);
   Dataset dataset;
   EuclideanSimilarity measure(3.0);
-  SimilarityGraph::Options seed_options;
-  seed_options.use_feature_index = false;
-  SimilarityGraph seed(&dataset, &measure, std::make_unique<GridBlocker>(4.0),
-                      0.4, seed_options);
+  ScalarOracle oracle(std::make_unique<EuclideanSimilarity>(3.0));
+  SimilarityGraph seed(&dataset, &oracle, std::make_unique<GridBlocker>(4.0),
+                      0.4);
+  EXPECT_EQ(seed.feature_index(), nullptr);
   SimilarityGraph indexed(&dataset, &measure,
                           std::make_unique<GridBlocker>(4.0), 0.4);
   for (int i = 0; i < 200; ++i) {
@@ -497,66 +456,12 @@ TEST(SimilarityGraphCore, IndexedMatchesSeedScalarNumericWorkload) {
   ExpectGraphsIdentical(seed, indexed);
 }
 
-TEST(SimilarityGraphCore, PruneModeDropsColdKeysOnly) {
-  // Group tokens sort before the shared cold token, so intra-group
-  // candidates are attributed to their (hot) group key and the shared
-  // token accumulates only cross-group misses — once its smoothed rate
-  // falls below the floor, pruning skips exactly those pairs.
-  auto build = [](SimilarityGraph::HistoryMode mode,
-                  obs::MetricsRegistry* metrics, Dataset& dataset,
-                  const JaccardSimilarity& measure) {
-    SimilarityGraph::Options options;
-    options.history = mode;
-    options.prune_min_trials = 16;
-    options.prune_below_hit_rate = 0.02;
-    options.metrics = metrics;
-    return std::make_unique<SimilarityGraph>(
-        &dataset, &measure, std::make_unique<TokenBlocker>(), 0.6, options);
-  };
-  JaccardSimilarity measure;
-  Dataset exact_dataset, pruned_dataset;
-  obs::MetricsRegistry metrics;
-  auto exact = build(SimilarityGraph::HistoryMode::kOrder, nullptr,
-                     exact_dataset, measure);
-  auto pruned = build(SimilarityGraph::HistoryMode::kPrune, &metrics,
-                      pruned_dataset, measure);
-  auto make = [](int group, int i) {
-    (void)i;  // group members are identical: intra J=1 (hit), cross J=1/3
-    return TokenRecord({"agrp" + std::to_string(group), "zz-shared"});
-  };
-  for (int i = 0; i < 40; ++i) {
-    for (int g = 0; g < 4; ++g) {
-      ObjectId a = exact_dataset.Add(make(g, i));
-      ObjectId b = pruned_dataset.Add(make(g, i));
-      ASSERT_EQ(a, b);
-      exact->AddObject(a);
-      pruned->AddObject(b);
-    }
-  }
-  // Pruning must have engaged on the cold shared key...
-  EXPECT_GT(metrics.GetCounter("sim.pruned")->value(), 0u);
-  EXPECT_GT(metrics.GetCounter("sim.calls")->value(), 0u);
-  // ...but every surviving edge carries the exact score, and no edge
-  // exists that the exact graph lacks (pruning only removes work, it
-  // never invents similarity).
-  EXPECT_LE(pruned->num_edges(), exact->num_edges());
-  for (ObjectId id : pruned->Objects()) {
-    for (const auto& [other, sim] : pruned->Neighbors(id)) {
-      EXPECT_EQ(sim, exact->Similarity(id, other))
-          << id << " -> " << other;
-    }
-  }
-  // In this construction the cold key contributes no edges at all, so
-  // the pruned edge set is the full exact edge set.
-  EXPECT_EQ(pruned->num_edges(), exact->num_edges());
-}
-
 // ----------------------------------------------- end-to-end (service) run
 
-ShardEnvironmentFactory FactoryWithCore(SimilarityGraph::Options sim_core) {
-  return [sim_core] {
+ShardEnvironmentFactory FactoryWithOracle() {
+  return [] {
     ShardEnvironment env = MakeFactory()();
-    env.sim_core = sim_core;
+    env.measure = std::make_unique<ScalarOracle>(std::move(env.measure));
     return env;
   };
 }
@@ -583,10 +488,8 @@ TEST(SimilarityGraphCore, ServiceClusteringByteIdenticalAcrossCores) {
     ShardedDynamicCService::Options options;
     options.num_shards = shards;
     options.async.enabled = async;
-    SimilarityGraph::Options sim_core;
-    sim_core.use_feature_index = indexed;
-    ShardedDynamicCService service(options, nullptr,
-                                   FactoryWithCore(sim_core));
+    ShardedDynamicCService service(
+        options, nullptr, indexed ? MakeFactory() : FactoryWithOracle());
     auto changed = service.ApplyOperations(batches[0]);
     service.ObserveBatchRound(changed);
     changed = service.ApplyOperations(batches[1]);
