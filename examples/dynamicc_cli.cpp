@@ -121,7 +121,6 @@ struct CliArgs {
   std::string backpressure = "block";
   uint32_t rebalance_every = 0;
   bool adaptive_batch = false;
-  std::string rebalance_metric = "auto";
   /// Durable snapshots: --save-snapshot DIR writes one after serving
   /// snapshot --snapshot-at K (0 = after the final barrier);
   /// --load-snapshot DIR warm-starts from one, skipping the first
@@ -243,17 +242,6 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       const char* v = next();
       if (v == nullptr) return false;
       args->rebalance_every = static_cast<uint32_t>(std::stoul(v));
-    } else if (flag == "--rebalance-metric") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->rebalance_metric = v;
-      if (args->rebalance_metric != "auto" &&
-          args->rebalance_metric != "records" &&
-          args->rebalance_metric != "ops") {
-        std::fprintf(stderr,
-                     "--rebalance-metric must be auto, records or ops\n");
-        return false;
-      }
     } else if (flag == "--save-snapshot") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -385,7 +373,6 @@ void Usage() {
       "                    [--shards N] [-j N] [--async] [--queue-depth N]\n"
       "                    [--backpressure block|reject]\n"
       "                    [--rebalance-every K] [--adaptive-batch]\n"
-      "                    [--rebalance-metric auto|records|ops]\n"
       "                    [--save-snapshot DIR] [--snapshot-at K]\n"
       "                    [--load-snapshot DIR] [--resume-at K]\n"
       "  --shards N > 1 serves with the sharded service (correlation or\n"
@@ -394,9 +381,8 @@ void Usage() {
       "  --async pipelines ingestion through bounded per-shard queues with\n"
       "  background round workers; --queue-depth bounds each queue and\n"
       "  --backpressure picks what a full queue does to the producer.\n"
-      "  --rebalance-every K migrates hot blocking groups between shards\n"
-      "  every K dynamic barriers (load-aware placement) ranked by\n"
-      "  --rebalance-metric (ops = applied-operation counts);\n"
+      "  --rebalance-every K moves whole blocking groups off the shard\n"
+      "  with the most alive records every K dynamic barriers;\n"
       "  --adaptive-batch lets each async worker size its drain bite by\n"
       "  AIMD.\n"
       "  --save-snapshot DIR persists the full serving state after\n"
@@ -730,11 +716,6 @@ ShardedDynamicCService::Options MakeServiceOptions(
   options.async.adaptive_batch = args.adaptive_batch;
   options.read.serve = args.serve_reads;
   options.rebalance.every_rounds = args.rebalance_every;
-  if (args.rebalance_metric == "records") {
-    options.rebalance.policy.metric = Rebalancer::LoadMetric::kRecords;
-  } else if (args.rebalance_metric == "ops") {
-    options.rebalance.policy.metric = Rebalancer::LoadMetric::kOps;
-  }
   // Mirror the harness's session configuration so `--shards N` is
   // comparable with the single-engine path on the same stream.
   options.session.threshold = config.threshold;

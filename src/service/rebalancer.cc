@@ -1,87 +1,38 @@
 #include "service/rebalancer.h"
 
 #include <algorithm>
-#include <limits>
 
 namespace dynamicc {
 
 std::vector<Rebalancer::Move> Rebalancer::PickMoves(
-    const std::vector<ShardLoad>& shards,
-    const std::vector<GroupLoad>& groups) const {
+    size_t num_shards, const std::vector<GroupLoad>& groups) const {
   std::vector<Move> moves;
-  if (shards.size() < 2) return moves;
+  if (num_shards < 2) return moves;
 
-  // Mixed units are fine within one invocation only if they are
-  // consistent: use measured cost when *any* shard has it, records
-  // otherwise. A shard without cost but with records (loaded while its
-  // neighbours were rounding) still contributes its records scaled by
-  // the overall cost-per-record so the comparison stays meaningful.
-  double total_cost = 0.0;
-  size_t total_records = 0;
-  for (const ShardLoad& shard : shards) {
-    total_cost += shard.cost_ms;
-    total_records += shard.records;
-  }
-  const bool use_ops = options_.metric == LoadMetric::kOps;
-  const bool use_cost = !use_ops &&
-                        options_.metric == LoadMetric::kAuto &&
-                        total_cost > 0.0;
-  const double cost_per_record =
-      use_cost && total_records > 0
-          ? total_cost / static_cast<double>(total_records)
-          : 1.0;
-
-  std::vector<double> load(shards.size(), 0.0);
-  for (size_t s = 0; s < shards.size(); ++s) {
-    if (use_ops) {
-      load[s] = static_cast<double>(shards[s].ops);
-    } else if (use_cost) {
-      load[s] = shards[s].cost_ms > 0.0
-                    ? shards[s].cost_ms
-                    : cost_per_record * static_cast<double>(shards[s].records);
-    } else {
-      load[s] = static_cast<double>(shards[s].records);
-    }
-  }
-
-  // A group's contribution to its shard's load, in the same unit as
-  // `load`: its own op count under kOps, its record-proportional share
-  // of the shard's measured cost under kAuto, or — when the shard never
-  // measured one — its records scaled by the fleet-wide cost-per-record
-  // (records alone would compare record counts against milliseconds and
-  // wreck the relief checks below).
-  auto group_weight = [&](const GroupLoad& group) {
-    if (use_ops) return static_cast<double>(group.ops);
-    if (!use_cost) return static_cast<double>(group.records);
-    const ShardLoad& shard = shards[group.shard];
-    if (shard.cost_ms > 0.0 && shard.records > 0) {
-      return shard.cost_ms * static_cast<double>(group.records) /
-             static_cast<double>(shard.records);
-    }
-    return cost_per_record * static_cast<double>(group.records);
-  };
-
-  // Candidate groups per shard, heaviest first *in the active metric*
-  // (ties on group hash so the plan is deterministic).
-  auto heavier = [use_ops](const GroupLoad& a, const GroupLoad& b) {
-    if (use_ops && a.ops != b.ops) return a.ops > b.ops;
-    if (a.records != b.records) return a.records > b.records;
-    return a.group < b.group;
-  };
-  std::vector<std::vector<GroupLoad>> per_shard(shards.size());
+  // Shard loads, and the movable groups per shard.
+  std::vector<size_t> load(num_shards, 0);
+  std::vector<std::vector<GroupLoad>> per_shard(num_shards);
+  size_t total = 0;
   for (const GroupLoad& group : groups) {
-    if (group.shard < shards.size() &&
-        group.records >= options_.min_group_records) {
+    if (group.shard >= num_shards) continue;
+    load[group.shard] += group.records;
+    total += group.records;
+    if (group.records >= kMinGroupRecords) {
       per_shard[group.shard].push_back(group);
     }
   }
+  const double mean =
+      static_cast<double>(total) / static_cast<double>(num_shards);
+
+  // Candidates heaviest first (ties on group hash so the plan is
+  // deterministic).
+  auto heavier = [](const GroupLoad& a, const GroupLoad& b) {
+    if (a.records != b.records) return a.records > b.records;
+    return a.group < b.group;
+  };
   for (auto& candidates : per_shard) {
     std::sort(candidates.begin(), candidates.end(), heavier);
   }
-
-  double mean = 0.0;
-  for (double l : load) mean += l;
-  mean /= static_cast<double>(load.size());
 
   while (moves.size() < options_.max_moves) {
     size_t straggler = 0, coolest = 0;
@@ -89,7 +40,9 @@ std::vector<Rebalancer::Move> Rebalancer::PickMoves(
       if (load[s] > load[straggler]) straggler = s;
       if (load[s] < load[coolest]) coolest = s;
     }
-    if (mean <= 0.0 || load[straggler] <= options_.hysteresis * mean) break;
+    if (static_cast<double>(load[straggler]) <= options_.hysteresis * mean) {
+      break;
+    }
 
     // Heaviest group on the straggler whose move strictly relieves it:
     // the destination must stay below the straggler's pre-move load,
@@ -97,14 +50,12 @@ std::vector<Rebalancer::Move> Rebalancer::PickMoves(
     bool moved = false;
     auto& candidates = per_shard[straggler];
     for (size_t i = 0; i < candidates.size(); ++i) {
-      double weight = group_weight(candidates[i]);
-      if (weight <= 0.0) continue;
+      const size_t weight = candidates[i].records;
       if (load[coolest] + weight >= load[straggler]) continue;
       Move move;
       move.group = candidates[i].group;
       move.from = static_cast<uint32_t>(straggler);
       move.to = static_cast<uint32_t>(coolest);
-      move.expected_gain = weight;
       moves.push_back(move);
       load[straggler] -= weight;
       load[coolest] += weight;

@@ -7,11 +7,16 @@
 
 namespace dynamicc {
 
-/// Load-aware placement policy: given per-shard cost and per-group size,
-/// picks blocking-group moves that relieve the straggler shard. Pure
-/// decision logic — it never touches the service; ShardedDynamicCService
-/// feeds it measurements (ServiceReport-derived round cost plus alive
-/// record counts) and executes the returned moves via MigrateGroup.
+/// Load-aware placement policy: given each blocking group's alive record
+/// count and owning shard, picks group moves that relieve the straggler
+/// shard. Pure decision logic — it never touches the service;
+/// ShardedDynamicCService feeds it GroupLoads() and executes the
+/// returned moves via MigrateGroup.
+///
+/// Load is alive records, nothing else: a placement balanced in records
+/// stays balanced while traffic grows every group alike, so repeated
+/// passes move nothing. A timed signal such as per-window round cost
+/// would re-trigger moves on timing noise alone.
 ///
 /// The policy is greedy max-straggler-relief: while the most loaded
 /// shard exceeds the mean by the hysteresis factor, move its heaviest
@@ -22,40 +27,14 @@ namespace dynamicc {
 /// tolerated, only a real straggler triggers surgery.
 class Rebalancer {
  public:
-  /// What "load" means to the policy. kAuto prefers measured round cost
-  /// when any shard has it (records otherwise) — the most faithful
-  /// signal, but short measurement windows are noisy and can re-trigger
-  /// moves on a placement that is already fine. kRecords always uses
-  /// alive record counts: less faithful when per-record cost varies,
-  /// but stable — a balanced placement measures balanced forever.
-  /// kOps uses cumulative *applied-operation* counts (IngestStats'
-  /// applied_ops broken down per group): a hot group that churns through
-  /// updates re-clusters its shard far more often than its record count
-  /// suggests, and the op counter sees that where record counts cannot —
-  /// the first step of the cost model that prices activity, not size.
-  enum class LoadMetric { kAuto, kRecords, kOps };
+  /// Groups smaller than this never move (surgery has fixed overhead).
+  static constexpr size_t kMinGroupRecords = 2;
 
   struct Options {
     /// Act only when max shard load > hysteresis * mean shard load.
     double hysteresis = 1.2;
     /// Most moves per PickMoves invocation (one migration each).
     size_t max_moves = 4;
-    /// Groups smaller than this never move (surgery has fixed overhead).
-    size_t min_group_records = 2;
-    LoadMetric metric = LoadMetric::kAuto;
-  };
-
-  struct ShardLoad {
-    uint32_t shard = 0;
-    /// Measured round cost since the last rebalance (worker + barrier
-    /// rounds). Zero for every shard before any round ran; the policy
-    /// then falls back to record counts.
-    double cost_ms = 0.0;
-    /// Alive records on the shard.
-    size_t records = 0;
-    /// Operations applied to the shard's engine since construction
-    /// (kOps metric input; groups carry the per-group breakdown).
-    uint64_t ops = 0;
   };
 
   struct GroupLoad {
@@ -63,25 +42,20 @@ class Rebalancer {
     uint32_t shard = 0;
     /// Alive records in the group.
     size_t records = 0;
-    /// Operations applied under the group (adds + updates + removes),
-    /// cumulative — the activity signal behind LoadMetric::kOps.
-    uint64_t ops = 0;
   };
 
   struct Move {
     uint64_t group = 0;
     uint32_t from = 0;
     uint32_t to = 0;
-    /// Load expected to leave the straggler (same unit as the shard
-    /// loads the decision was made on).
-    double expected_gain = 0.0;
   };
 
   explicit Rebalancer(Options options) : options_(options) {}
 
-  /// Deterministic in its inputs: ties break on shard index and group
-  /// hash, so identical measurements always produce identical plans.
-  std::vector<Move> PickMoves(const std::vector<ShardLoad>& shards,
+  /// A shard's load is the sum of its groups' records. Deterministic in
+  /// its inputs: ties break on shard index and group hash, so identical
+  /// loads always produce identical plans.
+  std::vector<Move> PickMoves(size_t num_shards,
                               const std::vector<GroupLoad>& groups) const;
 
   const Options& options() const { return options_; }

@@ -79,8 +79,7 @@ struct IngestStats {
   /// Queued operations not yet reflected in any shard engine.
   uint64_t pending_ops = 0;
   /// Operations applied into shard engines (surviving operations only —
-  /// coalesced-away work never counts). The per-group breakdown behind
-  /// this total feeds the Rebalancer's kOps load metric.
+  /// coalesced-away work never counts).
   uint64_t applied_ops = 0;
   /// Flush-epoch watermarks: the epoch currently open for admissions,
   /// and the highest closed epoch every shard has fully applied (0 until

@@ -368,7 +368,6 @@ std::vector<ObjectId> ShardedDynamicCService::ApplyBatchToShard(
         ObjectId local_id = static_cast<ObjectId>(base + adds++);
         locations_[global].local = local_id;
         group_alive_[locations_[global].group] += 1;
-        group_ops_[locations_[global].group] += 1;
         local.target = kInvalidObject;
         expected.push_back(local_id);
         DYNAMICC_CHECK_EQ(shard.global_of_local.size(), local_id);
@@ -379,7 +378,6 @@ std::vector<ObjectId> ShardedDynamicCService::ApplyBatchToShard(
         DYNAMICC_CHECK(loc.local != kInvalidObject)
             << "operation targets an object that never materialized";
         local.target = loc.local;
-        group_ops_[loc.group] += 1;
         if (op.kind == DataOperation::Kind::kUpdate) {
           expected.push_back(loc.local);
         } else {
@@ -426,7 +424,7 @@ void ShardedDynamicCService::WorkerDrain(size_t shard_index) {
         shard.queue_drained.notify_all();
         return;
       }
-      size_t bite = options_.async.max_batch;
+      size_t bite = 0;  // 0 = drain everything queued
       if (options_.async.adaptive_batch) {
         if (shard.adaptive_batch == 0) {
           shard.adaptive_batch = std::max<size_t>(1, options_.async.min_batch);
@@ -510,7 +508,6 @@ void ShardedDynamicCService::WorkerDrain(size_t shard_index) {
       if (rounded) {
         shard.worker_rounds += 1;
         shard.worker_round_ms += round_ms;
-        shard.cost_ms += round_ms;
         AccumulateRecluster(&shard.round_detail, round_report.detail);
       }
       if (options_.async.adaptive_batch && shard.adaptive_batch > 0) {
@@ -619,10 +616,6 @@ ServiceReport ShardedDynamicCService::ObserveBatchRound(
       }
       stats.objects = shard.dataset.alive_count();
       stats.clusters = shard.session->engine().clustering().num_clusters();
-      if (stats.participated) {
-        std::lock_guard<std::mutex> queue_lock(shard.queue_mutex);
-        shard.cost_ms += stats.round_ms;
-      }
     });
   }
 
@@ -721,7 +714,6 @@ ServiceReport ShardedDynamicCService::ServeBarrier(
       stats.objects = shard.dataset.alive_count();
       stats.clusters = shard.session->engine().clustering().num_clusters();
       std::lock_guard<std::mutex> queue_lock(shard.queue_mutex);
-      shard.cost_ms += stats.round_ms;
       AccumulateRecluster(&shard.round_detail, stats.report.detail);
     });
   }
@@ -741,8 +733,8 @@ ServiceReport ShardedDynamicCService::ServeBarrier(
   serving_.store(is_trained(), std::memory_order_release);
   // Automatic placement maintenance rides the barrier cadence: every K
   // dynamic barriers one rebalance pass runs, after the round so its
-  // cost measurements include this round and its migrations land before
-  // the next batch of traffic.
+  // record counts include everything this barrier applied and its
+  // migrations land before the next batch of traffic.
   if (options_.rebalance.every_rounds > 0 &&
       rounds_since_rebalance_.fetch_add(1) + 1 >=
           options_.rebalance.every_rounds) {
@@ -1077,13 +1069,9 @@ ShardedDynamicCService::NextAdaptiveBite(size_t current, double latency_ms,
   // AIMD: a slow round halves the bite (latency recovers in a few
   // rounds no matter how far it overshot), a fast round with backlog
   // still queued grows it one min_batch step (throughput converges
-  // without overshooting). Bounded to [min_batch, max_batch or
-  // queue_depth].
+  // without overshooting). Bounded to [min_batch, queue_depth].
   const size_t floor_bite = std::max<size_t>(1, options.min_batch);
-  size_t ceiling = options.max_batch > 0
-                       ? options.max_batch
-                       : std::max<size_t>(1, options.queue_depth);
-  ceiling = std::max(ceiling, floor_bite);
+  const size_t ceiling = std::max(options.queue_depth, floor_bite);
 
   AdaptiveBiteDecision decision;
   decision.bite = std::min(std::max(current, floor_bite), ceiling);
@@ -1398,8 +1386,6 @@ std::vector<Rebalancer::GroupLoad> ShardedDynamicCService::GroupLoads() const {
       load.group = group;
       load.shard = shard->second;
       load.records = alive;
-      auto ops = group_ops_.find(group);
-      if (ops != group_ops_.end()) load.ops = ops->second;
       loads.push_back(load);
     }
   }
@@ -1415,40 +1401,24 @@ ShardedDynamicCService::RebalanceReport
 ShardedDynamicCService::RebalanceOnce() {
   RebalanceReport report;
   if (metrics_) metrics_->rebalance_passes->Add(1);
+  auto record_imbalance = [this](
+                              const std::vector<Rebalancer::GroupLoad>& groups) {
+    std::vector<double> records_per_shard(shards_.size(), 0.0);
+    for (const Rebalancer::GroupLoad& group : groups) {
+      records_per_shard[group.shard] += static_cast<double>(group.records);
+    }
+    return MaxMeanRatio(records_per_shard);
+  };
   std::vector<Rebalancer::GroupLoad> groups = GroupLoads();
-  std::vector<Rebalancer::ShardLoad> shard_loads(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    shard_loads[s].shard = static_cast<uint32_t>(s);
-    std::lock_guard<std::mutex> queue_lock(shards_[s]->queue_mutex);
-    shard_loads[s].cost_ms = shards_[s]->cost_ms;
-  }
-  for (const Rebalancer::GroupLoad& group : groups) {
-    shard_loads[group.shard].records += group.records;
-    shard_loads[group.shard].ops += group.ops;
-  }
-  std::vector<double> records_per_shard(shards_.size(), 0.0);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    records_per_shard[s] = static_cast<double>(shard_loads[s].records);
-  }
-  report.record_imbalance_before = MaxMeanRatio(records_per_shard);
+  report.record_imbalance_before = record_imbalance(groups);
 
   Rebalancer policy(options_.rebalance.policy);
-  for (const Rebalancer::Move& move : policy.PickMoves(shard_loads, groups)) {
+  for (const Rebalancer::Move& move :
+       policy.PickMoves(shards_.size(), groups)) {
     report.moves.push_back(MigrateGroup(move.group, move.to));
   }
 
-  // The cost window restarts: the next pass judges the new placement on
-  // its own measurements instead of pre-move history.
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> queue_lock(shard->queue_mutex);
-    shard->cost_ms = 0.0;
-  }
-
-  std::fill(records_per_shard.begin(), records_per_shard.end(), 0.0);
-  for (const Rebalancer::GroupLoad& group : GroupLoads()) {
-    records_per_shard[group.shard] += static_cast<double>(group.records);
-  }
-  report.record_imbalance_after = MaxMeanRatio(records_per_shard);
+  report.record_imbalance_after = record_imbalance(GroupLoads());
   report.placement_version = placement_.version();
   return report;
 }

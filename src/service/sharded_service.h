@@ -198,18 +198,14 @@ class ShardedDynamicCService {
     /// it (a single batch may transiently exceed it on an idle shard).
     size_t queue_depth = 4096;
     BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
-    /// Most operations a worker applies per drained batch before it
-    /// runs a round (0 = drain everything queued). Bounds worst-case
-    /// round latency under sustained ingest. With adaptive_batch this
-    /// is the ceiling of the adaptive bite instead (0 = queue_depth).
-    size_t max_batch = 0;
-    /// AIMD adaptation of the per-round drain bite, per shard: a round
+    /// AIMD adaptation of the per-round drain bite, per shard (off: a
+    /// worker drains everything queued into one batch): a round
     /// slower than target_round_ms halves the shard's bite
     /// (multiplicative decrease, keeps latency-sensitive shards
     /// responsive); a fast round with backlog still waiting grows it by
     /// min_batch (additive increase, lets bursty shards take bigger
     /// bites and amortize the per-round fixed cost). Bounded to
-    /// [min_batch, max_batch or queue_depth].
+    /// [min_batch, queue_depth].
     bool adaptive_batch = false;
     double target_round_ms = 4.0;
     size_t min_batch = 16;
@@ -452,9 +448,9 @@ class ShardedDynamicCService {
   /// equivalence tests pin this down).
   MigrationReport MigrateGroup(uint64_t group, uint32_t to_shard);
 
-  /// One load-aware rebalance pass: measures per-shard cost (cumulative
-  /// round time since the last pass) and per-group sizes, asks the
-  /// Rebalancer policy for moves, and executes them. Also runs
+  /// One load-aware rebalance pass: counts alive records per group and
+  /// per shard, asks the Rebalancer policy for moves, and executes
+  /// them. Also runs
   /// automatically every Options::rebalance.every_rounds dynamic
   /// barriers.
   RebalanceReport RebalanceOnce();
@@ -466,8 +462,8 @@ class ShardedDynamicCService {
   }
 
   /// Current per-group load (alive records + owning shard), the
-  /// group-level half of the Rebalancer's input. Sorted heaviest first,
-  /// ties on group hash (deterministic).
+  /// Rebalancer's whole input. Sorted heaviest first, ties on group hash
+  /// (deterministic).
   std::vector<Rebalancer::GroupLoad> GroupLoads() const;
 
   const PlacementTable& placement() const { return placement_; }
@@ -622,13 +618,9 @@ class ShardedDynamicCService {
     size_t adaptive_batch = 0;
     uint64_t batch_grows = 0;
     uint64_t batch_shrinks = 0;
-    /// Round cost accumulated since the last rebalance pass (worker and
-    /// barrier rounds alike) — the per-shard half of the Rebalancer's
-    /// input.
-    double cost_ms = 0.0;
     uint64_t accepted_ops = 0;
     /// Operations applied into this shard's engine (surviving operations
-    /// only; the per-group breakdown lives in group_ops_).
+    /// only).
     uint64_t applied_ops = 0;
     uint64_t applied_batches = 0;
     uint64_t worker_rounds = 0;
@@ -823,11 +815,6 @@ class ShardedDynamicCService {
   /// time (adds increment, removes decrement). Guarded by
   /// locations_mutex_; the O(groups) input of GroupLoads().
   std::unordered_map<uint64_t, size_t> group_alive_;
-  /// Group hash -> operations applied under the group (cumulative; every
-  /// surviving add/update/remove counts). Guarded by locations_mutex_.
-  /// The per-group activity signal the Rebalancer's kOps metric ranks
-  /// on, and part of the persisted IngestStats.
-  std::unordered_map<uint64_t, uint64_t> group_ops_;
   /// Group hash -> the shard currently owning the group (set at
   /// admission, updated by migration). The authoritative answer —
   /// individual members' locations can lag it for tombstones, which

@@ -257,14 +257,6 @@ Status ShardedDynamicCService::SaveSnapshot(const std::string& dir) {
         os << group << " " << shard << "\n";
       }
     }
-    {
-      std::map<uint64_t, uint64_t> sorted(group_ops_.begin(),
-                                          group_ops_.end());
-      os << "group_ops " << sorted.size() << "\n";
-      for (const auto& [group, ops] : sorted) {
-        os << group << " " << ops << "\n";
-      }
-    }
     Status status = emit(kServiceFileName, os.str());
     if (!status.ok()) return status;
   }
@@ -327,8 +319,7 @@ Status ShardedDynamicCService::SaveSnapshot(const std::string& dir) {
          << shard.worker_rounds << " " << shard.producer_waits << " "
          << shard.queue_high_water << " " << shard.batch_grows << " "
          << shard.batch_shrinks << " " << shard.adaptive_batch << " "
-         << shard.cost_ms << " " << shard.worker_apply_ms << " "
-         << shard.worker_round_ms << "\n";
+         << shard.worker_apply_ms << " " << shard.worker_round_ms << "\n";
       os << "round_detail ";
       WriteRecluster(os, shard.round_detail);
       os << "\n";
@@ -412,7 +403,6 @@ Status ShardedDynamicCService::LoadSnapshot(const std::string& dir) {
   bool serving = false;
   std::vector<ObjectLocation> locations;
   std::unordered_map<uint64_t, uint32_t> group_shard;
-  std::unordered_map<uint64_t, uint64_t> group_ops;
   uint64_t placement_version = 0;
   std::unordered_map<uint64_t, uint32_t> placement_overrides;
   uint64_t rejected_batches = 0, rejected_ops = 0, migrations = 0;
@@ -481,17 +471,6 @@ Status ShardedDynamicCService::LoadSnapshot(const std::string& dir) {
         return Status::InvalidArgument("malformed group_shards entry");
       }
       group_shard[group] = shard;
-    }
-    size_t ops_count = 0;
-    if (!(is >> tag >> ops_count) || tag != "group_ops") {
-      return Status::InvalidArgument("malformed group_ops header");
-    }
-    for (size_t i = 0; i < ops_count; ++i) {
-      uint64_t group = 0, ops = 0;
-      if (!(is >> group >> ops)) {
-        return Status::InvalidArgument("malformed group_ops entry");
-      }
-      group_ops[group] = ops;
     }
   }
 
@@ -608,7 +587,7 @@ Status ShardedDynamicCService::LoadSnapshot(const std::string& dir) {
           shard.applied_batches >> shard.worker_rounds >>
           shard.producer_waits >> shard.queue_high_water >>
           shard.batch_grows >> shard.batch_shrinks >> shard.adaptive_batch >>
-          shard.cost_ms >> shard.worker_apply_ms >> shard.worker_round_ms) ||
+          shard.worker_apply_ms >> shard.worker_round_ms) ||
         tag != "shard_counters") {
       return Status::InvalidArgument("malformed shard counters");
     }
@@ -627,7 +606,6 @@ Status ShardedDynamicCService::LoadSnapshot(const std::string& dir) {
     std::lock_guard<std::mutex> loc_lock(locations_mutex_);
     locations_ = std::move(locations);
     group_shard_ = std::move(group_shard);
-    group_ops_ = std::move(group_ops);
     group_members_.clear();
     group_alive_.clear();
     for (size_t global = 0; global < locations_.size(); ++global) {

@@ -20,8 +20,8 @@ namespace dynamicc {
 ///                  state is touched.
 ///   service.dat    the cross-shard state: placement table (version +
 ///                  overrides), global id -> (shard, local, group) map,
-///                  group ownership + per-group op counts, cumulative
-///                  service counters, the open epoch and serving flag.
+///                  group ownership, cumulative service counters, the
+///                  open epoch and serving flag.
 ///   shard-<i>.dat  one per shard: dataset records (tombstones
 ///                  included — id assignment must continue unchanged),
 ///                  the id-exact clustering, session cadence state,
@@ -44,7 +44,7 @@ namespace dynamicc {
 
 /// Bumped whenever the layout changes incompatibly; LoadSnapshot
 /// rejects other versions.
-inline constexpr uint64_t kSnapshotFormatVersion = 1;
+inline constexpr uint64_t kSnapshotFormatVersion = 2;
 
 /// Header of a snapshot directory, readable without loading it.
 struct SnapshotInfo {

@@ -348,14 +348,12 @@ TEST(GroupMigration, PlacementVersionsAreDeterministic) {
 
 TEST(Rebalancer, BalancedLoadYieldsNoMoves) {
   Rebalancer policy(Rebalancer::Options{});
-  std::vector<Rebalancer::ShardLoad> shards = {
-      {0, 0.0, 100}, {1, 0.0, 98}, {2, 0.0, 102}, {3, 0.0, 100}};
   std::vector<Rebalancer::GroupLoad> groups;
   for (int g = 0; g < 40; ++g) {
     groups.push_back({static_cast<uint64_t>(g), static_cast<uint32_t>(g % 4),
-                      10});
+                      static_cast<size_t>(9 + g % 3)});
   }
-  EXPECT_TRUE(policy.PickMoves(shards, groups).empty());
+  EXPECT_TRUE(policy.PickMoves(4, groups).empty());
 }
 
 TEST(Rebalancer, RelievesTheStragglerGreedily) {
@@ -364,12 +362,10 @@ TEST(Rebalancer, RelievesTheStragglerGreedily) {
   options.max_moves = 2;
   Rebalancer policy(options);
   // Shard 0 carries 4 groups of 25; the rest carry 1 group of 10 each.
-  std::vector<Rebalancer::ShardLoad> shards = {
-      {0, 0.0, 100}, {1, 0.0, 10}, {2, 0.0, 10}, {3, 0.0, 10}};
   std::vector<Rebalancer::GroupLoad> groups = {
       {101, 0, 25}, {102, 0, 25}, {103, 0, 25}, {104, 0, 25},
       {201, 1, 10}, {202, 2, 10}, {203, 3, 10}};
-  auto moves = policy.PickMoves(shards, groups);
+  auto moves = policy.PickMoves(4, groups);
   ASSERT_EQ(moves.size(), 2u);
   EXPECT_EQ(moves[0].from, 0u);
   EXPECT_EQ(moves[1].from, 0u);
@@ -381,133 +377,22 @@ TEST(Rebalancer, RelievesTheStragglerGreedily) {
   EXPECT_NE(moves[1].to, moves[0].to);
 }
 
-TEST(Rebalancer, OpsMetricRanksByActivityNotSize) {
-  // Shard 0 holds few records but churns through operations (hot
-  // updates); shard 1 holds many records that never move. kRecords
-  // would call shard 1 the straggler — kOps must pick shard 0's hot
-  // group instead.
-  Rebalancer::Options options;
-  options.hysteresis = 1.2;
-  options.max_moves = 1;
-  options.metric = Rebalancer::LoadMetric::kOps;
-  Rebalancer policy(options);
-  std::vector<Rebalancer::ShardLoad> shards = {
-      {0, 0.0, 30, 900}, {1, 0.0, 200, 210}, {2, 0.0, 30, 30},
-      {3, 0.0, 30, 30}};
-  std::vector<Rebalancer::GroupLoad> groups = {
-      {11, 0, 20, 800},  // small but hot: the move that relieves shard 0
-      {12, 0, 10, 100},  {21, 1, 200, 210},
-      {31, 2, 30, 30},   {41, 3, 30, 30}};
-  auto moves = policy.PickMoves(shards, groups);
-  ASSERT_EQ(moves.size(), 1u);
-  EXPECT_EQ(moves[0].from, 0u);
-  EXPECT_EQ(moves[0].group, 11u);
-  EXPECT_EQ(moves[0].expected_gain, 800.0);
-}
-
-TEST(Rebalancer, OpsMetricStillRespectsMinGroupRecords) {
-  Rebalancer::Options options;
-  options.hysteresis = 1.1;
-  options.metric = Rebalancer::LoadMetric::kOps;
-  options.min_group_records = 5;
-  Rebalancer policy(options);
-  std::vector<Rebalancer::ShardLoad> shards = {{0, 0.0, 4, 1000},
-                                               {1, 0.0, 4, 10}};
-  // The only hot group is below the record floor: surgery overhead is
-  // priced in records, however hot the group runs.
-  std::vector<Rebalancer::GroupLoad> groups = {{11, 0, 4, 1000},
-                                               {21, 1, 4, 10}};
-  EXPECT_TRUE(policy.PickMoves(shards, groups).empty());
-}
-
-TEST(ServicePlacement, GroupLoadsCarryAppliedOpCounts) {
-  ShardedDynamicCService::Options options;
-  options.num_shards = 2;
-  ShardedDynamicCService service(options, nullptr, MakeFactory());
-  auto changed = service.ApplyOperations(GroupAdds(4, 2));
-  service.ObserveBatchRound(changed);
-  // Churn group 0 only: 2 adds + 3 updates on its first record.
-  service.ApplyOperations(AddsForGroups({0}, 2));
-  OperationBatch updates;
-  for (int i = 0; i < 3; ++i) {
-    DataOperation op;
-    op.kind = DataOperation::Kind::kUpdate;
-    op.target = 0;
-    op.record.entity = 0;
-    op.record.tokens = {"grp0", "tag0"};
-    updates.push_back(op);
-  }
-  service.ApplyOperations(updates);
-  service.Flush();
-
-  uint64_t hot = GroupKeyOf(0);
-  bool found = false;
-  uint64_t total_ops = 0;
-  for (const auto& load : service.GroupLoads()) {
-    total_ops += load.ops;
-    if (load.group == hot) {
-      found = true;
-      // 2 training adds + 2 churn adds + 3 updates.
-      EXPECT_EQ(load.ops, 7u);
-      EXPECT_EQ(load.records, 4u);
-    } else {
-      EXPECT_EQ(load.ops, 2u);
-    }
-  }
-  EXPECT_TRUE(found);
-  EXPECT_EQ(total_ops, service.ingest_stats().applied_ops);
-}
-
-TEST(Rebalancer, CostMeasurementsDominateWhenPresent) {
-  // Shard 1 has fewer records but a pathological measured cost — the
-  // policy must chase cost, not record counts.
-  Rebalancer::Options options;
-  options.hysteresis = 1.2;
-  options.max_moves = 1;
-  Rebalancer policy(options);
-  std::vector<Rebalancer::ShardLoad> shards = {
-      {0, 10.0, 100}, {1, 90.0, 60}, {2, 10.0, 100}, {3, 10.0, 100}};
-  std::vector<Rebalancer::GroupLoad> groups = {
-      {1, 0, 100}, {2, 1, 30}, {3, 1, 30}, {4, 2, 100}, {5, 3, 100}};
-  auto moves = policy.PickMoves(shards, groups);
-  ASSERT_EQ(moves.size(), 1u);
-  EXPECT_EQ(moves[0].from, 1u);
-}
-
-TEST(Rebalancer, UnmeasuredStragglerUsesCostPerRecordScaledWeights) {
-  // A shard that ingested heavily but never measured a round has
-  // cost_ms == 0 while its neighbours carry measured cost. Its load is
-  // records scaled by the fleet-wide cost-per-record, and its groups'
-  // weights must be in the SAME unit — raw record counts would dwarf
-  // millisecond loads and the relief check would reject every move.
-  Rebalancer::Options options;
-  options.hysteresis = 1.2;
-  options.max_moves = 1;
-  Rebalancer policy(options);
-  std::vector<Rebalancer::ShardLoad> shards = {
-      {0, 0.0, 300}, {1, 10.0, 50}, {2, 10.0, 50}, {3, 10.0, 50}};
-  // loads (cpr = 30/450): [20, 10, 10, 10] ms; straggler 0 at 1.6x mean.
-  std::vector<Rebalancer::GroupLoad> groups = {
-      {1, 0, 150}, {2, 0, 75}, {3, 0, 75},
-      {4, 1, 50}, {5, 2, 50}, {6, 3, 50}};
-  auto moves = policy.PickMoves(shards, groups);
-  ASSERT_EQ(moves.size(), 1u);
-  EXPECT_EQ(moves[0].from, 0u);
-  // Group 1 (weight 10ms) cannot strictly relieve (10 + 10 >= 20); the
-  // 75-record groups (5ms) can.
-  EXPECT_EQ(moves[0].group, 2u);
-}
-
 TEST(Rebalancer, TinyGroupsNeverMove) {
-  Rebalancer::Options options;
-  options.min_group_records = 5;
-  Rebalancer policy(options);
-  std::vector<Rebalancer::ShardLoad> shards = {{0, 0.0, 40}, {1, 0.0, 0}};
+  // Singletons sit below kMinGroupRecords: however lopsided the shards,
+  // surgery on a one-record group costs more than it relieves.
+  static_assert(Rebalancer::kMinGroupRecords == 2);
+  Rebalancer policy(Rebalancer::Options{});
   std::vector<Rebalancer::GroupLoad> groups;
   for (int g = 0; g < 10; ++g) {
-    groups.push_back({static_cast<uint64_t>(g), 0, 4});
+    groups.push_back({static_cast<uint64_t>(g), 0, 1});
   }
-  EXPECT_TRUE(policy.PickMoves(shards, groups).empty());
+  EXPECT_TRUE(policy.PickMoves(2, groups).empty());
+  // One group at the floor is movable again.
+  groups.push_back({99, 0, 2});
+  auto moves = policy.PickMoves(2, groups);
+  ASSERT_EQ(moves.size(), 1u);
+  EXPECT_EQ(moves[0].group, 99u);
+  EXPECT_EQ(moves[0].to, 1u);
 }
 
 // ------------------------------------------------- end-to-end rebalancing
@@ -549,6 +434,44 @@ TEST(RebalanceOnce, SpreadsACollidingHotSetAndPreservesTheClustering) {
   ServiceSnapshot after = service.Snapshot();
   EXPECT_GT(after.report.placement_version, 0u);
   EXPECT_GE(after.report.groups_migrated, 3u);
+}
+
+TEST(RebalanceOnce, LaterPassesOverHomogeneousTrafficLeaveThePlacementAlone) {
+  // Spread a colliding hot set once, then keep serving traffic that
+  // grows every hot group alike, with a pass after every round. Load is
+  // alive records, so the spread placement stays balanced as it grows:
+  // no later pass may move a group, whatever the rounds cost.
+  const uint32_t kShards = 4;
+  std::vector<int> hot = CollidingGroups(6, 0, kShards, 4096);
+  ASSERT_EQ(hot.size(), 6u);
+
+  ShardedDynamicCService::Options options = SyncOptions(kShards);
+  options.rebalance.policy.hysteresis = 1.1;
+  options.rebalance.policy.max_moves = 8;
+  ShardedDynamicCService service(options, nullptr, MakeFactory());
+
+  auto changed = service.ApplyOperations(AddsForGroups(hot, 4));
+  service.ObserveBatchRound(changed);
+  changed = service.ApplyOperations(AddsForGroups(hot, 2));
+  service.ObserveBatchRound(changed);
+  service.Flush();
+
+  auto spread = service.RebalanceOnce();
+  ASSERT_GE(spread.moves.size(), 3u);
+  ServiceSnapshot settled = service.Snapshot();
+
+  for (int pass = 0; pass < 5; ++pass) {
+    changed = service.ApplyOperations(AddsForGroups(hot, 1));
+    service.DynamicRound(changed);
+    auto later = service.RebalanceOnce();
+    EXPECT_TRUE(later.moves.empty()) << "pass " << pass;
+    EXPECT_EQ(later.placement_version, settled.report.placement_version)
+        << "pass " << pass;
+  }
+  ServiceSnapshot after = service.Snapshot();
+  EXPECT_EQ(after.report.placement_version, settled.report.placement_version);
+  EXPECT_EQ(after.report.groups_migrated, settled.report.groups_migrated);
+  EXPECT_EQ(after.clusters.size(), hot.size());
 }
 
 TEST(RebalanceOnce, AutoRebalanceRunsOnTheBarrierCadence) {
@@ -612,11 +535,11 @@ TEST(AdaptiveBatch, BitesGrowUnderBacklogAndStatsSurface) {
 TEST(AdaptiveBatch, AimdPolicyIsDeterministic) {
   // The policy itself, without timing: additive increase under backlog,
   // multiplicative decrease past the latency target, clamped to
-  // [min_batch, max_batch or queue_depth].
+  // [min_batch, queue_depth].
   ShardedDynamicCService::AsyncOptions options;
   options.adaptive_batch = true;
   options.min_batch = 8;
-  options.max_batch = 64;
+  options.queue_depth = 64;
   options.target_round_ms = 4.0;
 
   // Fast round + backlog: grow by min_batch.
@@ -641,17 +564,14 @@ TEST(AdaptiveBatch, AimdPolicyIsDeterministic) {
   auto floored = ShardedDynamicCService::NextAdaptiveBite(8, 9.0, 500, options);
   EXPECT_FALSE(floored.shrank);
   EXPECT_EQ(floored.bite, 8u);
-  // Growth saturates at the ceiling.
+  // Growth saturates at the queue depth.
+  auto near_cap = ShardedDynamicCService::NextAdaptiveBite(60, 1.0, 500,
+                                                           options);
+  EXPECT_TRUE(near_cap.grew);
+  EXPECT_EQ(near_cap.bite, 64u);
   auto capped = ShardedDynamicCService::NextAdaptiveBite(64, 1.0, 500, options);
   EXPECT_FALSE(capped.grew);
   EXPECT_EQ(capped.bite, 64u);
-  // Without an explicit max_batch the queue depth is the ceiling.
-  options.max_batch = 0;
-  options.queue_depth = 32;
-  auto by_depth = ShardedDynamicCService::NextAdaptiveBite(30, 1.0, 500,
-                                                           options);
-  EXPECT_TRUE(by_depth.grew);
-  EXPECT_EQ(by_depth.bite, 32u);
 }
 
 // ----------------------------------------------------- report imbalance

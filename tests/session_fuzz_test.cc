@@ -166,7 +166,11 @@ TEST_P(ServiceAsyncFuzzTest, InterleavedEnqueueAndFlushStaysConsistent) {
   options.num_shards = (GetParam() % 2 == 0) ? 4 : 2;
   options.async.enabled = true;
   options.async.queue_depth = 1 + rng.Index(32);  // exercise backpressure
-  options.async.max_batch = rng.Index(8);         // 0 = drain everything
+  // Bounded drain bites (the AIMD floor) on most seeds; 0 = drain
+  // everything queued.
+  const size_t bite = rng.Index(8);
+  options.async.adaptive_batch = bite > 0;
+  options.async.min_batch = std::max<size_t>(1, bite);
   ShardedDynamicCService service(options, nullptr, MakeFactory());
 
   const int kGroups = 8;
@@ -281,7 +285,9 @@ TEST_P(SnapshotFuzzTest, SaveLoadContinueStaysByteIdentical) {
   options.num_shards = (GetParam() % 2 == 0) ? 4 : 2;
   options.async.enabled = GetParam() % 3 != 0;
   options.async.queue_depth = 8 + rng.Index(64);
-  options.async.max_batch = rng.Index(8);
+  const size_t bite = rng.Index(8);  // 0 = drain everything queued
+  options.async.adaptive_batch = bite > 0;
+  options.async.min_batch = std::max<size_t>(1, bite);
   auto make_service = [&options] {
     return std::make_unique<ShardedDynamicCService>(options, nullptr,
                                                     MakeFactory());

@@ -391,8 +391,148 @@ void ExpectGraphsIdentical(SimilarityGraph& a, SimilarityGraph& b) {
   }
 }
 
-TEST(SimilarityGraphCore, IndexedMatchesSeedScalarTokenWorkload) {
+/// Test-side reference adjacency: the edge set and per-row insertion
+/// order a graph must have, built the plain way. For each probe it walks
+/// Candidates() in order, scores every member with Similarity(), and
+/// inserts adj[probe][c] then adj[c][probe]. It keeps the graph's map
+/// type and mirrors its blocker calls, so equal insertion and erase
+/// histories give equal Neighbors() iteration orders.
+class ReferenceAdjacency {
+ public:
+  ReferenceAdjacency(const Dataset* dataset, const SimilarityMeasure* measure,
+                     std::unique_ptr<CandidateProvider> blocker,
+                     double min_similarity)
+      : dataset_(dataset),
+        measure_(measure),
+        blocker_(std::move(blocker)),
+        min_similarity_(min_similarity) {}
+
+  void AddObject(ObjectId id) {
+    adjacency_[id];
+    Score(id);
+    blocker_->Add(dataset_->Get(id));
+  }
+
+  void UpdateObject(ObjectId id, const Record& old_record) {
+    Drop(id);
+    blocker_->Update(old_record, dataset_->Get(id));
+    blocker_->Remove(dataset_->Get(id));
+    Score(id);
+    blocker_->Add(dataset_->Get(id));
+  }
+
+  void RemoveObject(ObjectId id) {
+    Drop(id);
+    adjacency_.erase(id);
+    blocker_->Remove(dataset_->Get(id));
+  }
+
+  const std::unordered_map<ObjectId, std::unordered_map<ObjectId, double>>&
+  adjacency() const {
+    return adjacency_;
+  }
+
+ private:
+  void Score(ObjectId id) {
+    const Record& record = dataset_->Get(id);
+    for (ObjectId other : blocker_->Candidates(record)) {
+      auto row = adjacency_.find(other);
+      if (row == adjacency_.end()) continue;
+      double s = measure_->Similarity(record, dataset_->Get(other));
+      if (s < min_similarity_) continue;
+      adjacency_[id][other] = s;
+      row->second[id] = s;
+    }
+  }
+
+  void Drop(ObjectId id) {
+    auto& row = adjacency_.at(id);
+    for (const auto& [other, s] : row) {
+      (void)s;
+      adjacency_.at(other).erase(id);
+    }
+    row.clear();
+  }
+
+  const Dataset* dataset_;
+  const SimilarityMeasure* measure_;
+  std::unique_ptr<CandidateProvider> blocker_;
+  double min_similarity_;
+  std::unordered_map<ObjectId, std::unordered_map<ObjectId, double>>
+      adjacency_;
+};
+
+/// Requires `graph` to hold exactly the reference's edges, with every
+/// Neighbors() row iterating in the reference's order.
+void ExpectMatchesReference(const SimilarityGraph& graph,
+                            const ReferenceAdjacency& reference) {
+  ASSERT_EQ(graph.num_objects(), reference.adjacency().size());
+  size_t edges = 0;
+  for (ObjectId id : graph.Objects()) {
+    auto row = reference.adjacency().find(id);
+    ASSERT_NE(row, reference.adjacency().end()) << "object " << id;
+    const auto& neighbors = graph.Neighbors(id);
+    std::vector<std::pair<ObjectId, double>> got(neighbors.begin(),
+                                                  neighbors.end());
+    std::vector<std::pair<ObjectId, double>> want(row->second.begin(),
+                                                  row->second.end());
+    EXPECT_EQ(got, want) << "object " << id;
+    edges += want.size();
+  }
+  EXPECT_EQ(graph.num_edges() * 2, edges);
+}
+
+/// The token stream: 300 random adds, updates and removes over twelve
+/// blocking groups. `each(op)` applies one graph operation to every
+/// structure under test (`op` takes a SimilarityGraph or a
+/// ReferenceAdjacency).
+template <typename Each>
+void RunTokenWorkload(Dataset& dataset, Each each) {
   Rng rng(31);
+  std::vector<ObjectId> alive;
+  for (int step = 0; step < 300; ++step) {
+    double dice = rng.Uniform();
+    if (alive.size() < 10 || dice < 0.6) {
+      Record record = TokenRecord({"g" + std::to_string(rng.Index(12)),
+                                   "h" + std::to_string(rng.Index(12)),
+                                   "u" + std::to_string(rng.Index(40))});
+      ObjectId id = dataset.Add(std::move(record));
+      each([id](auto& graph) { graph.AddObject(id); });
+      alive.push_back(id);
+    } else if (dice < 0.8) {
+      size_t pick = rng.Index(alive.size());
+      ObjectId id = alive[pick];
+      Record old_record = dataset.Get(id);  // copy before overwrite
+      Record updated = TokenRecord({"g" + std::to_string(rng.Index(12)),
+                                    "u" + std::to_string(rng.Index(40))});
+      dataset.Update(id, std::move(updated));
+      each([id, &old_record](auto& graph) {
+        graph.UpdateObject(id, old_record);
+      });
+    } else {
+      size_t pick = rng.Index(alive.size());
+      ObjectId id = alive[pick];
+      each([id](auto& graph) { graph.RemoveObject(id); });
+      dataset.Remove(id);
+      alive.erase(alive.begin() + pick);
+    }
+  }
+}
+
+/// The numeric stream: 200 random 3-d points.
+template <typename Each>
+void RunNumericWorkload(Dataset& dataset, Each each) {
+  Rng rng(37);
+  for (int i = 0; i < 200; ++i) {
+    Record record = PointRecord({rng.Uniform(-16.0, 16.0),
+                                 rng.Uniform(-16.0, 16.0),
+                                 rng.Uniform(-16.0, 16.0)});
+    ObjectId id = dataset.Add(std::move(record));
+    each([id](auto& graph) { graph.AddObject(id); });
+  }
+}
+
+TEST(SimilarityGraphCore, IndexedMatchesSeedScalarTokenWorkload) {
   Dataset dataset;
   JaccardSimilarity measure;
   ScalarOracle oracle(std::make_unique<JaccardSimilarity>());
@@ -402,41 +542,14 @@ TEST(SimilarityGraphCore, IndexedMatchesSeedScalarTokenWorkload) {
                           std::make_unique<TokenBlocker>(), 0.3);
   ASSERT_NE(indexed.feature_index(), nullptr);
   EXPECT_EQ(seed.feature_index(), nullptr);
-
-  std::vector<ObjectId> alive;
-  for (int step = 0; step < 300; ++step) {
-    double dice = rng.Uniform();
-    if (alive.size() < 10 || dice < 0.6) {
-      Record record = TokenRecord({"g" + std::to_string(rng.Index(12)),
-                                   "h" + std::to_string(rng.Index(12)),
-                                   "u" + std::to_string(rng.Index(40))});
-      ObjectId id = dataset.Add(std::move(record));
-      seed.AddObject(id);
-      indexed.AddObject(id);
-      alive.push_back(id);
-    } else if (dice < 0.8) {
-      size_t pick = rng.Index(alive.size());
-      ObjectId id = alive[pick];
-      Record old_record = dataset.Get(id);  // copy before overwrite
-      Record updated = TokenRecord({"g" + std::to_string(rng.Index(12)),
-                                    "u" + std::to_string(rng.Index(40))});
-      dataset.Update(id, std::move(updated));
-      seed.UpdateObject(id, old_record);
-      indexed.UpdateObject(id, old_record);
-    } else {
-      size_t pick = rng.Index(alive.size());
-      ObjectId id = alive[pick];
-      seed.RemoveObject(id);
-      indexed.RemoveObject(id);
-      dataset.Remove(id);
-      alive.erase(alive.begin() + pick);
-    }
-  }
+  RunTokenWorkload(dataset, [&](auto op) {
+    op(seed);
+    op(indexed);
+  });
   ExpectGraphsIdentical(seed, indexed);
 }
 
 TEST(SimilarityGraphCore, IndexedMatchesSeedScalarNumericWorkload) {
-  Rng rng(37);
   Dataset dataset;
   EuclideanSimilarity measure(3.0);
   ScalarOracle oracle(std::make_unique<EuclideanSimilarity>(3.0));
@@ -445,15 +558,43 @@ TEST(SimilarityGraphCore, IndexedMatchesSeedScalarNumericWorkload) {
   EXPECT_EQ(seed.feature_index(), nullptr);
   SimilarityGraph indexed(&dataset, &measure,
                           std::make_unique<GridBlocker>(4.0), 0.4);
-  for (int i = 0; i < 200; ++i) {
-    Record record = PointRecord({rng.Uniform(-16.0, 16.0),
-                                 rng.Uniform(-16.0, 16.0),
-                                 rng.Uniform(-16.0, 16.0)});
-    ObjectId id = dataset.Add(std::move(record));
-    seed.AddObject(id);
-    indexed.AddObject(id);
-  }
+  RunNumericWorkload(dataset, [&](auto op) {
+    op(seed);
+    op(indexed);
+  });
   ExpectGraphsIdentical(seed, indexed);
+}
+
+TEST(SimilarityGraphCore, EdgesInsertInCandidateOrder) {
+  // The oracle and the indexed graph share one edge-insertion loop, so
+  // comparing them cannot pin its order; the reference rebuilds the
+  // order from Candidates() independently.
+  {
+    Dataset dataset;
+    JaccardSimilarity measure;
+    SimilarityGraph graph(&dataset, &measure,
+                          std::make_unique<TokenBlocker>(), 0.3);
+    ReferenceAdjacency reference(&dataset, &measure,
+                                 std::make_unique<TokenBlocker>(), 0.3);
+    RunTokenWorkload(dataset, [&](auto op) {
+      op(graph);
+      op(reference);
+    });
+    ExpectMatchesReference(graph, reference);
+  }
+  {
+    Dataset dataset;
+    EuclideanSimilarity measure(3.0);
+    SimilarityGraph graph(&dataset, &measure,
+                          std::make_unique<GridBlocker>(4.0), 0.4);
+    ReferenceAdjacency reference(&dataset, &measure,
+                                 std::make_unique<GridBlocker>(4.0), 0.4);
+    RunNumericWorkload(dataset, [&](auto op) {
+      op(graph);
+      op(reference);
+    });
+    ExpectMatchesReference(graph, reference);
+  }
 }
 
 // ----------------------------------------------- end-to-end (service) run

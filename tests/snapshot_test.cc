@@ -355,6 +355,28 @@ class CorruptionTest : public ::testing::Test {
 
   std::string Path(const std::string& name) { return dir_ + "/" + name; }
 
+  /// Rewrites the MANIFEST's format-version header to `version`, then
+  /// loads. Only the header moves: the payload checksums still match.
+  Status LoadAtFormatVersion(uint64_t version) {
+    std::string path = Path("MANIFEST");
+    std::ifstream in(path);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    std::string manifest = buffer.str();
+    in.close();
+    const std::string current =
+        "dynamicc-snapshot " + std::to_string(kSnapshotFormatVersion) + "\n";
+    size_t pos = manifest.find(current);
+    EXPECT_EQ(pos, 0u);
+    if (pos != 0) return Status::InvalidArgument("manifest header not found");
+    manifest.replace(0, current.size(),
+                     "dynamicc-snapshot " + std::to_string(version) + "\n");
+    std::ofstream out(path, std::ios::trunc);
+    out << manifest;
+    out.close();
+    return Load();
+  }
+
   std::string dir_;
 };
 
@@ -406,21 +428,23 @@ TEST_F(CorruptionTest, MissingManifestIsRejected) {
 }
 
 TEST_F(CorruptionTest, VersionMismatchIsRejected) {
-  std::string path = Path("MANIFEST");
-  std::ifstream in(path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::string manifest = buffer.str();
-  in.close();
-  size_t pos = manifest.find("dynamicc-snapshot 1");
-  ASSERT_NE(pos, std::string::npos);
-  manifest.replace(pos, 19, "dynamicc-snapshot 9");
-  std::ofstream out(path, std::ios::trunc);
-  out << manifest;
-  out.close();
-  Status status = Load();
+  Status status = LoadAtFormatVersion(kSnapshotFormatVersion + 7);
   EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("version"), std::string::npos);
+  EXPECT_NE(status.message().find("unsupported snapshot format version"),
+            std::string::npos)
+      << status.message();
+}
+
+TEST_F(CorruptionTest, FormatVersionOneIsRefusedNotMisread) {
+  // A version-1 payload has columns this format does not read: the
+  // directory must be refused at the manifest, before any payload is
+  // parsed.
+  ASSERT_GT(kSnapshotFormatVersion, 1u);
+  Status status = LoadAtFormatVersion(1);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("unsupported snapshot format version 1"),
+            std::string::npos)
+      << status.message();
 }
 
 TEST_F(CorruptionTest, ShardCountMismatchIsRejected) {
