@@ -409,8 +409,9 @@ Measurement RunOneAsync(uint32_t num_shards, const BenchArgs& args,
 /// drains through ONE pinned shard worker — the whole stream is
 /// serialized on a single core no matter how many shards exist. The
 /// rebalanced run calls RebalanceOnce() every `rebalance_every`
-/// snapshots: hot groups migrate away (queued backlog replays onto the
-/// destination logs) and the remaining stream drains in parallel.
+/// snapshots: each pass drains the queued backlog, counts the records,
+/// and migrates hot groups away, so the remaining stream drains in
+/// parallel.
 Measurement RunOneSkewed(const BenchArgs& args,
                          const std::vector<OperationBatch>& training,
                          const std::vector<OperationBatch>& serving,
@@ -419,10 +420,9 @@ Measurement RunOneSkewed(const BenchArgs& args,
   options.num_shards = 4;
   options.num_threads = args.threads;
   options.async.enabled = true;
-  // A tight queue paces the producer at drain rate (kBlock): load
-  // evolves in real time, so the rebalance cadence below sees the hot
-  // shard's records pile up while the stream flows — and migrations re-home
-  // genuine queued backlog (the replay path), not an empty queue.
+  // A tight queue paces the producer at drain rate (kBlock), so the
+  // backlog each rebalance pass drains before counting stays bounded
+  // and the hot shard's records pile up while the stream flows.
   options.async.queue_depth = std::min<size_t>(args.queue_depth, 256);
   options.async.adaptive_batch = true;
   options.async.min_batch = 32;

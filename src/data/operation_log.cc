@@ -92,18 +92,4 @@ OperationLog::Drained OperationLog::Take(size_t max_ops) {
   return drained;
 }
 
-OperationLog::Extracted OperationLog::ExportRange(
-    uint64_t begin_sequence, uint64_t end_sequence) const {
-  Extracted exported;
-  for (const Entry& entry : entries_) {
-    if (entry.dead) continue;
-    if (entry.sequence < begin_sequence) continue;
-    if (entry.sequence >= end_sequence) break;  // entries are in order
-    exported.ops.push_back(entry.op);
-    exported.sequences.push_back(entry.sequence);
-    exported.logical_ops += entry.logical;
-  }
-  return exported;
-}
-
 }  // namespace dynamicc

@@ -61,66 +61,12 @@ class OperationLog {
   /// order. Pending operations on drained targets no longer coalesce.
   Drained Take(size_t max_ops = 0);
 
-  /// Pending operations selected by ExtractIf, in arrival order, with
-  /// their sequence numbers (parallel to `ops`) — the audit trail of a
-  /// migration replay.
-  struct Extracted {
-    OperationBatch ops;
-    std::vector<uint64_t> sequences;
-    uint64_t logical_ops = 0;
-  };
-
-  /// Removes every pending operation matching `pred` and returns them in
-  /// arrival order; non-matching entries keep their queue positions and
-  /// keep coalescing. Powers live shard migration: operations that raced
-  /// a group move sit in the source shard's log, are extracted by
-  /// target, and replay (Append) onto the destination shard's log with
-  /// their relative order — and therefore their per-object composition —
-  /// intact. Annihilated entries are garbage-collected along the way.
-  template <typename Pred>
-  Extracted ExtractIf(Pred&& pred) {
-    Extracted extracted;
-    std::deque<Entry> kept;
-    for (Entry& entry : entries_) {
-      if (entry.dead) continue;  // annihilated: already accounted
-      if (pred(static_cast<const DataOperation&>(entry.op))) {
-        pending_ -= 1;
-        pending_logical_ -= entry.logical;
-        extracted.logical_ops += entry.logical;
-        extracted.sequences.push_back(entry.sequence);
-        extracted.ops.push_back(std::move(entry.op));
-      } else {
-        kept.push_back(std::move(entry));
-      }
-    }
-    entries_.swap(kept);
-    // Entry indices changed wholesale; rebuild the coalescing map.
-    open_.clear();
-    for (size_t offset = 0; offset < entries_.size(); ++offset) {
-      const Entry& entry = entries_[offset];
-      if (entry.op.kind != DataOperation::Kind::kRemove &&
-          entry.op.target != kInvalidObject) {
-        open_[entry.op.target] = base_ + offset;
-      }
-    }
-    return extracted;
-  }
-
-  /// Epoch-range export: copies (without removing) every surviving
-  /// pending operation whose sequence number lies in [begin, end), in
-  /// arrival order, with sequences and logical counts — the primitive
-  /// for shipping or inspecting a sealed epoch's still-queued tail (the
-  /// operations a follower is guaranteed to receive once the epoch
-  /// applies). Entries keep their queue positions and keep coalescing
-  /// afterwards. Folds are attributed to their host entry's sequence,
-  /// consistent with first_pending_sequence().
-  Extracted ExportRange(uint64_t begin_sequence, uint64_t end_sequence) const;
-
-  /// Count-only sibling of ExportRange: the logical operations carried
-  /// by surviving entries with sequence in [begin, end), with no
-  /// copying. What the service's epoch-seal hook reports as the sealed
-  /// epochs' pending tail (replication lag) — cheap enough to sit under
-  /// the seal path's locks.
+  /// The logical operations carried by surviving pending entries with
+  /// sequence in [begin, end), counted without copying; folds count
+  /// toward their host entry's sequence, annihilated entries not at all.
+  /// What the service's epoch-seal hook reports as the sealed epochs'
+  /// pending tail (replication lag) — cheap enough to sit under the seal
+  /// path's locks.
   uint64_t LogicalInRange(uint64_t begin_sequence,
                           uint64_t end_sequence) const {
     uint64_t logical = 0;

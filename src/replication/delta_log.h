@@ -64,7 +64,7 @@ struct DeltaInfo {
   uint64_t event_count = 0;
   /// Operations of epochs <= this one still queued (unapplied) on the
   /// primary when the epoch sealed — the primary's replication lag at
-  /// the boundary (OperationLog::ExportRange at the seal).
+  /// the boundary (OperationLog::LogicalInRange at the seal).
   uint64_t pending_at_seal = 0;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "util/logging.h"
@@ -85,7 +84,6 @@ ShardedDynamicCService::ShardedDynamicCService(
     metrics_->snapshot_save_ms = reg.GetHistogram("snapshot.save_ms");
     metrics_->snapshot_load_ms = reg.GetHistogram("snapshot.load_ms");
     metrics_->epochs_sealed = reg.GetCounter("epoch.sealed");
-    metrics_->migration_ops_rehomed = reg.GetCounter("migration.ops_rehomed");
     metrics_->rebalance_passes = reg.GetCounter("placement.rebalance_passes");
     metrics_->snapshot_save_bytes = reg.GetCounter("snapshot.save_bytes");
     metrics_->snapshot_load_bytes = reg.GetCounter("snapshot.load_bytes");
@@ -408,15 +406,6 @@ void ShardedDynamicCService::WorkerDrain(size_t shard_index) {
     obs::TraceContext drain_trace;
     {
       std::lock_guard<std::mutex> lock(shard.queue_mutex);
-      if (shard.paused) {
-        // A migration is operating on this shard: park at the batch
-        // boundary (no drained batch stays in flight); the migration
-        // reschedules the worker once the surgery is done.
-        AdvanceEpochsLocked(&shard);
-        shard.worker_busy = false;
-        shard.queue_drained.notify_all();
-        return;
-      }
       if (shard.log.empty()) {
         shard.log.Take(0);  // GC entries annihilated in place
         AdvanceEpochsLocked(&shard);
@@ -525,12 +514,13 @@ void ShardedDynamicCService::WorkerDrain(size_t shard_index) {
 
 void ShardedDynamicCService::Drain() {
   if (!async()) return;
-  for (const auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::unique_lock<std::mutex> lock(shard.queue_mutex);
-    shard.queue_drained.wait(
-        lock, [&shard] { return shard.log.empty() && !shard.worker_busy; });
-  }
+  for (const auto& shard : shards_) DrainShard(shard.get());
+}
+
+void ShardedDynamicCService::DrainShard(Shard* shard) {
+  std::unique_lock<std::mutex> lock(shard->queue_mutex);
+  shard->queue_drained.wait(
+      lock, [shard] { return shard->log.empty() && !shard->worker_busy; });
 }
 
 std::vector<std::vector<ObjectId>> ShardedDynamicCService::LocalizeChanged(
@@ -794,9 +784,8 @@ uint64_t ShardedDynamicCService::CloseEpochLocked() {
       if (observer_ != nullptr || read_views_ != nullptr) {
         // Everything still queued below the seal boundary is
         // sealed-but-unapplied — the primary's replication lag at this
-        // boundary, which the delta log records per epoch. Count-only
-        // (ExportRange's copying sibling has no place under these
-        // locks).
+        // boundary, which the delta log records per epoch. Count-only:
+        // nothing is copied under these locks.
         pending_tail += shard.log.LogicalInRange(0, boundary);
       }
     }
@@ -835,25 +824,14 @@ void ShardedDynamicCService::WaitEpoch(uint64_t epoch) {
   if (epoch == 0) return;
   DYNAMICC_CHECK_LT(epoch, open_epoch_.load())
       << "WaitEpoch requires a closed epoch (CloseEpoch first)";
-  // A migration moves queued operations — and with them epoch
-  // obligations — from one shard's log to another's. A scan that
-  // overlapped one may have checked the destination before the replayed
-  // tail arrived, so the scan only counts if no migration surgery ran
-  // during it (seqlock; migrations are rare, rescans cheap: already
-  // applied shards pass immediately).
-  for (;;) {
-    const uint64_t seq_before = migration_seq_.load(std::memory_order_acquire);
-    if (seq_before % 2 == 1) {
-      std::this_thread::yield();
-      continue;
-    }
-    for (const auto& shard_ptr : shards_) {
-      Shard& shard = *shard_ptr;
-      std::unique_lock<std::mutex> lock(shard.queue_mutex);
-      shard.epoch_applied.wait(
-          lock, [&shard, epoch] { return shard.applied_epoch >= epoch; });
-    }
-    if (migration_seq_.load(std::memory_order_acquire) == seq_before) return;
+  // An operation stays in the log it was admitted to until applied
+  // (migrations drain the source first and move only applied state), so
+  // one pass over the per-shard watermarks suffices.
+  for (const auto& shard_ptr : shards_) {
+    Shard& shard = *shard_ptr;
+    std::unique_lock<std::mutex> lock(shard.queue_mutex);
+    shard.epoch_applied.wait(
+        lock, [&shard, epoch] { return shard.applied_epoch >= epoch; });
   }
 }
 
@@ -1088,36 +1066,18 @@ ShardedDynamicCService::NextAdaptiveBite(size_t current, double latency_ms,
   return decision;
 }
 
-void ShardedDynamicCService::ParkWorker(size_t shard_index) {
-  Shard& shard = *shards_[shard_index];
-  std::unique_lock<std::mutex> lock(shard.queue_mutex);
-  shard.paused = true;
-  // The worker parks at its next batch boundary (it checks `paused`
-  // before every Take), so after this wait no drained-but-unapplied
-  // batch exists for the shard. Producers cannot re-schedule a worker
-  // meanwhile — the caller holds ingest_mutex_.
-  shard.queue_drained.wait(lock, [&shard] { return !shard.worker_busy; });
-}
-
-void ShardedDynamicCService::ResumeWorker(size_t shard_index) {
-  Shard& shard = *shards_[shard_index];
-  bool schedule = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.queue_mutex);
-    shard.paused = false;
-    if (!shard.log.empty() && !shard.worker_busy) {
-      shard.worker_busy = true;
-      schedule = true;
-    }
-  }
-  if (schedule) {
-    pool_.SubmitTo(shard_index,
-                   [this, shard_index] { WorkerDrain(shard_index); });
-  }
-}
-
 ShardedDynamicCService::MigrationReport ShardedDynamicCService::MigrateGroup(
     uint64_t group, uint32_t to_shard) {
+  // Producers are excluded for the whole move: admission pins a
+  // placement version under ingest_mutex_, so holding it means no batch
+  // can straddle the swap. Ingest to *other* shards resumes the moment
+  // this returns.
+  std::lock_guard<std::mutex> ingest_lock(ingest_mutex_);
+  return MigrateGroupLocked(group, to_shard);
+}
+
+ShardedDynamicCService::MigrationReport
+ShardedDynamicCService::MigrateGroupLocked(uint64_t group, uint32_t to_shard) {
   DYNAMICC_CHECK_LT(to_shard, num_shards());
   DYNAMICC_CHECK(router_->ContentAddressed())
       << "group migration requires a content-addressed router ("
@@ -1126,14 +1086,6 @@ ShardedDynamicCService::MigrationReport ShardedDynamicCService::MigrateGroup(
   MigrationReport report;
   report.group = group;
   report.to = to_shard;
-
-  // Producers are excluded for the whole move: admission pins a
-  // placement version under ingest_mutex_, so holding it means no batch
-  // can straddle the swap — the only operations that raced the move are
-  // the ones already sitting in the source shard's queue, and those are
-  // replayed below. Ingest to *other* shards resumes the moment this
-  // returns; their queues and workers are never touched.
-  std::lock_guard<std::mutex> ingest_lock(ingest_mutex_);
 
   // Source = the shard currently owning the group. group_shard_ is
   // authoritative (admission sets it, every migration updates it);
@@ -1161,19 +1113,18 @@ ShardedDynamicCService::MigrationReport ShardedDynamicCService::MigrateGroup(
     return report;
   }
 
-  // Flush epoch, step 1: park both drain workers at a batch boundary.
-  // The surgery below moves queued operations — and with them epoch
-  // obligations — between the two shards' logs; the seqlock (odd = in
-  // progress) makes concurrent WaitEpoch scans that overlapped the move
-  // re-scan instead of trusting a destination they checked too early.
-  migration_seq_.fetch_add(1, std::memory_order_acq_rel);
+  // Quiesce the source: with producers excluded its queue drains in
+  // bounded time, and afterwards every member of the group is applied
+  // state. The surgery moves engine state only — never a queued
+  // operation — so no epoch obligation changes shards. The destination
+  // keeps draining; a batch it already took finishes before the surgery
+  // gets its round lock.
   {
     obs::ScopedSpan span(tracer_, obs::kSpanMigrationQuiesce,
                          obs::kServiceShard,
                          open_epoch_.load(std::memory_order_relaxed));
     span.set_range(group, group);
-    ParkWorker(from);
-    ParkWorker(to_shard);
+    DrainShard(shards_[from].get());
   }
 
   {
@@ -1190,12 +1141,11 @@ ShardedDynamicCService::MigrationReport ShardedDynamicCService::MigrateGroup(
     std::unique_lock<std::mutex> second(
         shards_[std::max(from, to_shard)]->round_mutex);
 
-    // The moved set: applied+alive members carry their state across;
-    // queued members (no local id yet) just flip ownership and their
-    // pending operations replay. Tombstones stay behind.
+    // The moved set: alive members carry their state across; adds
+    // annihilated in the queue (never materialized) just flip ownership.
+    // Tombstones stay behind.
     std::vector<ObjectId> moved_globals;
     std::vector<ObjectId> moved_locals;
-    std::unordered_set<ObjectId> moved_set;
     {
       std::lock_guard<std::mutex> loc_lock(locations_mutex_);
       group_shard_[group] = to_shard;
@@ -1205,13 +1155,11 @@ ShardedDynamicCService::MigrationReport ShardedDynamicCService::MigrateGroup(
           ObjectLocation& loc = locations_[global];
           if (loc.shard != from) continue;
           if (loc.local == kInvalidObject) {
-            loc.shard = to_shard;  // queued (or annihilated) add
-            moved_set.insert(global);
+            loc.shard = to_shard;
             continue;
           }
           if (!src.dataset.IsAlive(loc.local)) continue;
           loc.shard = to_shard;
-          moved_set.insert(global);
           moved_globals.push_back(global);
           moved_locals.push_back(loc.local);
         }
@@ -1276,72 +1224,7 @@ ShardedDynamicCService::MigrationReport ShardedDynamicCService::MigrateGroup(
       // A cut cluster (similarity edges crossing blocking groups inside
       // the shard) leaves the source off its fixpoint.
       if (extract.split_sources > 0) src.dirty = true;
-    }
 
-    // Flush epoch, step 2: re-home the raced tail. Everything producers
-    // enqueued for this group before the swap sits in the source log;
-    // extract it by target id and replay it onto the destination log in
-    // arrival order — per-object composition (folds, annihilations)
-    // keeps working because relative order is preserved.
-    OperationLog::Extracted raced;
-    uint64_t src_applied_epoch = 0;
-    {
-      std::lock_guard<std::mutex> queue_lock(src.queue_mutex);
-      raced = src.log.ExtractIf([&moved_set](const DataOperation& op) {
-        return op.target != kInvalidObject && moved_set.count(op.target) > 0;
-      });
-      report.source_epoch = src.log.appended();
-      // Every operation still queued on the source — the raced tail
-      // included — belongs to an epoch the source has *not* applied
-      // yet, so this bounds the epochs the tail can carry from below.
-      src_applied_epoch = src.applied_epoch;
-    }
-    {
-      std::lock_guard<std::mutex> queue_lock(dst.queue_mutex);
-      for (DataOperation& op : raced.ops) {
-        dst.log.Append(std::move(op));
-      }
-      report.dest_epoch = dst.log.appended();
-      report.replayed_ops = raced.ops.size();
-      if (!raced.ops.empty()) {
-        // The replayed tail was admitted in earlier — possibly already
-        // sealed, possibly already *applied on this destination* —
-        // epochs, but it now sits at the end of the destination log.
-        // Rebuild the destination's epoch state so every sealed epoch
-        // the tail could belong to (anything above the source's applied
-        // watermark) waits for the full post-replay log: roll
-        // applied_epoch back to cover tails from epochs the destination
-        // had already reported applied, and give every such epoch a
-        // boundary at the end of the replay. Conservative — a sealed
-        // epoch may now also wait for a few unrelated queued operations
-        // — but producers are excluded here, so the over-approximation
-        // is bounded by the queue contents at the time of the move.
-        // Waiters mid-scan are safe: the migration seqlock makes any
-        // WaitEpoch scan that overlapped this surgery re-scan.
-        const uint64_t sealed_max = open_epoch_.load() - 1;
-        const uint64_t new_applied =
-            std::min(dst.applied_epoch, src_applied_epoch);
-        if (sealed_max > new_applied) {
-          dst.applied_epoch = new_applied;
-          dst.epoch_marks.clear();
-          for (uint64_t epoch = new_applied + 1; epoch <= sealed_max;
-               ++epoch) {
-            dst.epoch_marks.push_back(
-                Shard::EpochMark{epoch, dst.log.appended()});
-          }
-        }
-      }
-    }
-    {
-      // The extracted operations are no longer the source's obligation:
-      // its watermark may jump past sealed boundaries right now (the
-      // worker is parked, so nobody else will advance it — without this
-      // a source left idle after the move would strand its epochs).
-      std::lock_guard<std::mutex> queue_lock(src.queue_mutex);
-      AdvanceEpochsLocked(&src);
-    }
-
-    if (report.objects > 0 || report.replayed_ops > 0) {
       // The adopted state is re-validated (and, on an untrained
       // destination, trained) at the next round that covers the shard.
       dst.dirty = true;
@@ -1353,20 +1236,13 @@ ShardedDynamicCService::MigrationReport ShardedDynamicCService::MigrateGroup(
   }
 
   // Publish the new placement while producers are still excluded — the
-  // first batch admitted after the move already routes to `to_shard` —
-  // then let the workers loose again.
+  // first batch admitted after the move already routes to `to_shard`.
   report.placement_version = placement_.Assign(group, to_shard);
   if (observer_ != nullptr) observer_->OnMigration(group, to_shard);
-  ResumeWorker(from);
-  ResumeWorker(to_shard);
-  migration_seq_.fetch_add(1, std::memory_order_acq_rel);
   // Not a ScopedTimer: report.ms must be read into the return value,
   // and return-value construction happens before local destructors run.
   report.ms = timer.ElapsedMillis();
-  if (metrics_) {
-    metrics_->migration_ms->Record(report.ms);
-    metrics_->migration_ops_rehomed->Add(report.replayed_ops);
-  }
+  if (metrics_) metrics_->migration_ms->Record(report.ms);
   return report;
 }
 
@@ -1401,6 +1277,18 @@ ShardedDynamicCService::RebalanceReport
 ShardedDynamicCService::RebalanceOnce() {
   RebalanceReport report;
   if (metrics_) metrics_->rebalance_passes->Add(1);
+  // One quiesced pass: producers are excluded and every queue drained
+  // before the loads are read, so the pass counts every admitted record
+  // and the moves depend on the stream alone, not on how far the
+  // workers had got. Each move then finds its source already drained,
+  // so this span, not the moves', carries the pass's drain wait.
+  std::lock_guard<std::mutex> ingest_lock(ingest_mutex_);
+  {
+    obs::ScopedSpan span(tracer_, obs::kSpanMigrationQuiesce,
+                         obs::kServiceShard,
+                         open_epoch_.load(std::memory_order_relaxed));
+    Drain();
+  }
   auto record_imbalance = [this](
                               const std::vector<Rebalancer::GroupLoad>& groups) {
     std::vector<double> records_per_shard(shards_.size(), 0.0);
@@ -1415,7 +1303,7 @@ ShardedDynamicCService::RebalanceOnce() {
   Rebalancer policy(options_.rebalance.policy);
   for (const Rebalancer::Move& move :
        policy.PickMoves(shards_.size(), groups)) {
-    report.moves.push_back(MigrateGroup(move.group, move.to));
+    report.moves.push_back(MigrateGroupLocked(move.group, move.to));
   }
 
   report.record_imbalance_after = record_imbalance(GroupLoads());

@@ -215,7 +215,8 @@ class ShardedDynamicCService {
   struct RebalanceOptions {
     /// 0 = manual rebalancing only (RebalanceOnce()). K > 0 runs a
     /// rebalance pass after every K explicit dynamic barriers
-    /// (DynamicRound / Flush).
+    /// (DynamicRound / Flush). A pass drains every queue, so a
+    /// Flush(epoch) that triggers one also applies later epochs.
     uint32_t every_rounds = 0;
     Rebalancer::Options policy;
   };
@@ -341,9 +342,9 @@ class ShardedDynamicCService {
   /// old global barrier over-delivered on: readers that need "everything
   /// up to here" no longer wait out traffic that arrived after "here",
   /// and under sustained ingest Flush(epoch) returns where Flush()
-  /// would chase the producers forever. MigrateGroup transfers a moved
-  /// group's epoch obligations to the destination shard's log, so
-  /// watermarks stay sound across live migrations.
+  /// would chase the producers forever. MigrateGroup applies the source
+  /// shard's whole queue before it moves a group, so an operation never
+  /// changes logs and each shard's watermarks stay its own.
 
   /// The epoch currently open for admissions (>= 1).
   uint64_t open_epoch() const { return open_epoch_.load(); }
@@ -409,20 +410,13 @@ class ShardedDynamicCService {
     uint32_t to = 0;
     bool moved = false;
     /// Alive records carried over, and the clusters they arrived in.
+    /// The source shard's queue is applied first, so these include every
+    /// member admitted before the call.
     size_t objects = 0;
     size_t clusters = 0;
-    /// Queued (async) operations that raced the move: extracted from
-    /// the source shard's log by OperationLog sequence number and
-    /// replayed onto the destination's log, order preserved.
-    size_t replayed_ops = 0;
     /// Placement version published by this migration.
     uint64_t placement_version = 0;
-    /// The flush epoch: every source-shard operation with a sequence
-    /// number below source_epoch was either applied before the move or
-    /// replayed to the destination; dest_epoch is the destination log's
-    /// sequence after the replay appended.
-    uint64_t source_epoch = 0;
-    uint64_t dest_epoch = 0;
+    /// Wall time, the source drain included.
     double ms = 0.0;
   };
 
@@ -437,22 +431,25 @@ class ShardedDynamicCService {
   };
 
   /// Live-migrates blocking group `group` (a ShardRouter::GroupKey
-  /// value; see GroupOf) to `to_shard` without retraining: quiesces only
-  /// the source and destination shards at a flush epoch, moves the
-  /// group's records, cluster memberships and similarity aggregates via
-  /// ClusteringEngine::{Extract,Adopt}GroupState, re-homes queued
-  /// operations that raced the move, and publishes a new placement
-  /// version — concurrent ingest to other shards keeps flowing. At the
-  /// next flush barrier the clustering is byte-identical to a run that
-  /// never migrated (blocking-disjoint workloads; the migration
-  /// equivalence tests pin this down).
+  /// value; see GroupOf) to `to_shard` without retraining. Producers are
+  /// excluded for the whole call; the source shard's queue is drained
+  /// (applied by its worker) first, so every member of the group is
+  /// applied state and no queued operation has to move. The group's
+  /// records, cluster memberships and similarity aggregates then move
+  /// via ClusteringEngine::{Extract,Adopt}GroupState under the two
+  /// shards' round locks, and a new placement version is published. The
+  /// other shards' workers keep draining throughout. At the next flush
+  /// barrier the clustering is byte-identical to a run that never
+  /// migrated (blocking-disjoint workloads; the migration equivalence
+  /// tests pin this down).
   MigrationReport MigrateGroup(uint64_t group, uint32_t to_shard);
 
-  /// One load-aware rebalance pass: counts alive records per group and
-  /// per shard, asks the Rebalancer policy for moves, and executes
-  /// them. Also runs
-  /// automatically every Options::rebalance.every_rounds dynamic
-  /// barriers.
+  /// One load-aware rebalance pass. Excludes producers, drains every
+  /// queue (Drain()), then counts alive records per group and per shard,
+  /// asks the Rebalancer policy for moves, and executes them. Every
+  /// admitted record is counted, so the same stream yields the same
+  /// moves however far the workers had got. Also runs automatically
+  /// every Options::rebalance.every_rounds dynamic barriers.
   RebalanceReport RebalanceOnce();
 
   /// The blocking-group key of a record under the configured router —
@@ -581,9 +578,7 @@ class ShardedDynamicCService {
     OperationLog log;
     /// One sealed epoch this shard has not fully applied yet: every log
     /// operation with sequence < boundary belongs to `epoch` (or
-    /// earlier). Boundaries are non-decreasing front to back; a
-    /// migration that replays raced operations onto this shard raises
-    /// pending boundaries so the epoch waits for the replayed tail too.
+    /// earlier). Boundaries are non-decreasing front to back.
     struct EpochMark {
       uint64_t epoch = 0;
       uint64_t boundary = 0;
@@ -606,13 +601,6 @@ class ShardedDynamicCService {
     std::condition_variable epoch_applied;
     /// True while a drain task is queued or running for this shard.
     bool worker_busy = false;
-    /// Set by a migration to park the drain worker at a batch boundary:
-    /// a worker that sees it returns without taking another batch (and
-    /// without resubmitting itself), so the migration can operate on a
-    /// shard with no drained-but-unapplied batch in flight. Producers
-    /// cannot schedule a worker meanwhile — the migration holds
-    /// ingest_mutex_.
-    bool paused = false;
     /// Current AIMD drain bite (adaptive_batch mode; 0 until the first
     /// drain initializes it to min_batch).
     size_t adaptive_batch = 0;
@@ -666,10 +654,12 @@ class ShardedDynamicCService {
   /// drained-but-unapplied batch in flight for the shard).
   static void AdvanceEpochsLocked(Shard* shard);
 
-  /// Parks / resumes shard `s`'s drain worker around a migration (async
-  /// mode; see Shard::paused).
-  void ParkWorker(size_t shard_index);
-  void ResumeWorker(size_t shard_index);
+  /// Blocks until `shard`'s queue is empty and its worker idle. Only
+  /// bounded while producers are excluded or stopped.
+  static void DrainShard(Shard* shard);
+
+  /// MigrateGroup with ingest_mutex_ already held.
+  MigrationReport MigrateGroupLocked(uint64_t group, uint32_t to_shard);
 
   /// Translates a drained (global-handle) batch to local ids, applies it
   /// through the shard's session, and registers the global<->local
@@ -721,7 +711,6 @@ class ShardedDynamicCService {
     obs::Histogram* snapshot_save_ms = nullptr;
     obs::Histogram* snapshot_load_ms = nullptr;
     obs::Counter* epochs_sealed = nullptr;
-    obs::Counter* migration_ops_rehomed = nullptr;
     obs::Counter* rebalance_passes = nullptr;
     obs::Counter* snapshot_save_bytes = nullptr;
     obs::Counter* snapshot_load_bytes = nullptr;
@@ -828,11 +817,6 @@ class ShardedDynamicCService {
   std::atomic<uint32_t> rounds_since_rebalance_{0};
   /// The epoch currently accepting admissions; CloseEpoch increments it.
   std::atomic<uint64_t> open_epoch_{1};
-  /// Seqlock over migration surgery (odd = in progress): a migration
-  /// moves epoch obligations between shard logs, so WaitEpoch re-scans
-  /// whenever its scan overlapped one — per-shard watermarks alone
-  /// cannot see an obligation that hopped shards mid-scan.
-  std::atomic<uint64_t> migration_seq_{0};
   /// Set by explicit DynamicRound/Flush barriers (to is_trained()) and
   /// cleared by ObserveBatchRound. Background workers only run rounds
   /// while set — in barrier-driven (training/observe) mode async

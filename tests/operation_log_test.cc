@@ -184,59 +184,7 @@ TEST(OperationLog, BoundedTakeRespectsArrivalOrderAndPurgesHandles) {
   EXPECT_EQ(rest.ops[4].target, 0u);
 }
 
-TEST(OperationLog, ExtractIfRemovesMatchesAndKeepsTheRestCoalescing) {
-  // Interleave two "groups" of targets; extracting one group by target
-  // must preserve arrival order on both sides, carry sequence numbers,
-  // and leave the kept entries still able to coalesce.
-  OperationLog log;
-  log.Append(Add(0, "g0"));
-  log.Append(Add(1, "g1"));
-  log.Append(Add(2, "g0"));
-  log.Append(Update(1, "g1b"));  // folds into add(1)
-  log.Append(Add(3, "g1"));
-  EXPECT_EQ(log.pending(), 4u);
-
-  auto moved = log.ExtractIf([](const DataOperation& op) {
-    return op.target == 1 || op.target == 3;
-  });
-  ASSERT_EQ(moved.ops.size(), 2u);
-  EXPECT_EQ(moved.ops[0].target, 1u);
-  EXPECT_EQ(moved.ops[0].record.tokens[0], "g1b");  // kept its fold
-  EXPECT_EQ(moved.ops[1].target, 3u);
-  EXPECT_EQ(moved.logical_ops, 3u);  // add(1) + folded update + add(3)
-  EXPECT_EQ(moved.sequences, (std::vector<uint64_t>{1u, 4u}));
-  EXPECT_EQ(log.pending(), 2u);
-
-  // The kept entries still coalesce; the extracted target no longer
-  // does (its add lives elsewhere now).
-  log.Append(Update(0, "g0b"));
-  EXPECT_EQ(log.pending(), 2u);
-  log.Append(Update(1, "stray"));
-  EXPECT_EQ(log.pending(), 3u);
-
-  // Replay onto a second log: per-object composition keeps working.
-  OperationLog destination;
-  for (DataOperation& op : moved.ops) destination.Append(std::move(op));
-  destination.Append(Remove(3));  // annihilates the replayed add(3)
-  EXPECT_EQ(destination.pending(), 1u);
-  auto drained = destination.Take();
-  ASSERT_EQ(drained.ops.size(), 1u);
-  EXPECT_EQ(drained.ops[0].target, 1u);
-}
-
-TEST(OperationLog, ExtractIfSkipsAnnihilatedEntries) {
-  OperationLog log;
-  log.Append(Add(0, "a"));
-  log.Append(Remove(0));  // annihilates in place
-  log.Append(Add(1, "b"));
-  auto moved = log.ExtractIf([](const DataOperation&) { return true; });
-  ASSERT_EQ(moved.ops.size(), 1u);
-  EXPECT_EQ(moved.ops[0].target, 1u);
-  EXPECT_EQ(log.pending(), 0u);
-  EXPECT_TRUE(log.empty());
-}
-
-TEST(OperationLog, ExportRangeCopiesTheSealedTailNonDestructively) {
+TEST(OperationLog, LogicalInRangeCountsFoldsOnTheirHostAndSkipsAnnihilated) {
   OperationLog log;
   log.Append(Add(0, "a"));   // seq 0
   log.Append(Add(1, "b"));   // seq 1
@@ -245,29 +193,22 @@ TEST(OperationLog, ExportRangeCopiesTheSealedTailNonDestructively) {
   log.Append(Remove(2));     // annihilates seq 3
   log.Append(Add(3, "d"));   // seq 5
 
-  // The epoch-range export: survivors in [0, 4), arrival order, with
-  // their sequences; the fold counts toward its host's logical total
-  // and the annihilated pair is invisible.
-  OperationLog::Extracted exported = log.ExportRange(0, 4);
-  ASSERT_EQ(exported.ops.size(), 2u);
-  EXPECT_EQ(exported.sequences, (std::vector<uint64_t>{0, 1}));
-  EXPECT_EQ(exported.logical_ops, 3u);
-  EXPECT_EQ(exported.ops[0].record.tokens[0], "a2");  // the folded content
+  // Survivors in [0, 4): the fold counts toward its host's sequence and
+  // the annihilated pair is invisible.
+  EXPECT_EQ(log.LogicalInRange(0, 4), 3u);
+  EXPECT_EQ(log.LogicalInRange(2, 4), 0u);  // the fold is not at seq 2
+  EXPECT_EQ(log.LogicalInRange(4, log.appended()), 1u);
 
-  // Non-destructive: the log still drains everything, and the exported
-  // entries kept coalescing afterwards.
+  // Counting leaves the log as it was.
   EXPECT_EQ(log.pending(), 3u);
-  log.Append(Update(1, "b2"));
-  OperationLog::Drained drained = log.Take();
-  ASSERT_EQ(drained.ops.size(), 3u);
-  EXPECT_EQ(drained.ops[1].record.tokens[0], "b2");
+  EXPECT_EQ(log.pending_logical(), 4u);
 
-  // An empty window, and a window past the tail, both come back empty.
-  EXPECT_TRUE(log.ExportRange(0, 0).ops.empty());
-  EXPECT_TRUE(log.ExportRange(100, 200).ops.empty());
+  // An empty window, and a window past the tail, both count nothing.
+  EXPECT_EQ(log.LogicalInRange(0, 0), 0u);
+  EXPECT_EQ(log.LogicalInRange(100, 200), 0u);
 }
 
-TEST(OperationLog, ExportRangeBoundsMatchEpochBoundaries) {
+TEST(OperationLog, LogicalInRangeBoundsMatchEpochBoundaries) {
   OperationLog log;
   log.Append(Add(0, "a"));  // epoch 1: seq 0
   log.Append(Add(1, "b"));  // epoch 1: seq 1
@@ -275,18 +216,16 @@ TEST(OperationLog, ExportRangeBoundsMatchEpochBoundaries) {
   log.Append(Add(2, "c"));  // epoch 2: seq 2
 
   // Everything below the seal boundary is the sealed epochs' pending
-  // tail — what the service reports to the replication feed at a seal
-  // (via the count-only LogicalInRange; ExportRange agrees).
-  EXPECT_EQ(log.ExportRange(0, boundary).logical_ops, 2u);
+  // tail — what the service reports to the replication feed at a seal.
   EXPECT_EQ(log.LogicalInRange(0, boundary), 2u);
-  EXPECT_EQ(log.ExportRange(boundary, log.appended()).logical_ops, 1u);
   EXPECT_EQ(log.LogicalInRange(boundary, log.appended()), 1u);
 
-  // Draining the first entry shrinks the exported tail accordingly.
+  // Draining the first entry shrinks the sealed tail to seq 1 alone.
   log.Take(1);
-  EXPECT_EQ(log.ExportRange(0, boundary).sequences,
-            (std::vector<uint64_t>{1}));
   EXPECT_EQ(log.LogicalInRange(0, boundary), 1u);
+  EXPECT_EQ(log.LogicalInRange(0, 1), 0u);
+  EXPECT_EQ(log.LogicalInRange(1, boundary), 1u);
+  EXPECT_EQ(log.first_pending_sequence(), 1u);
 }
 
 TEST(OperationLog, AddsWithoutHandlesNeverCoalesce) {

@@ -47,8 +47,9 @@ void ExpectSameState(ShardedDynamicCService& a, ShardedDynamicCService& b) {
 
 // A follower replaying an epoch that contained live MigrateGroup calls —
 // including moves racing queued (async) traffic on the primary, where
-// the primary re-homes the raced tail between shard logs — reproduces
-// the placement versions, group ownership and clustering exactly.
+// the primary applies the source shard's queue before moving the group —
+// reproduces the placement versions, group ownership and clustering
+// exactly.
 TEST(ReplicationEdge, FollowerReplaysAcrossLiveMigrationEpochs) {
   for (bool async : {false, true}) {
     SCOPED_TRACE(async);
@@ -64,8 +65,9 @@ TEST(ReplicationEdge, FollowerReplaysAcrossLiveMigrationEpochs) {
     ASSERT_TRUE(repl.Start().ok());
 
     // Epoch with traffic *around* the moves: ingest, migrate two groups
-    // (the async primary still has the batch queued — the raced-tail
-    // path), ingest again into the moved group, then barrier + seal.
+    // (the async primary may still have the batch queued, and drains
+    // the source first), ingest again into the moved group, then
+    // barrier + seal.
     primary.Ingest(AddsForGroups({0, 1, 5}, 2));
     for (int g : {0, 1}) {
       uint64_t group = GroupKeyOf(g);

@@ -3,8 +3,9 @@
 // The anchors: (1) under *sustained* ingest an epoch flush returns while
 // the old global barrier could never, (2) the state after an epoch
 // flush contains at least the sealed prefix, (3) epoch numbering and
-// watermarks are deterministic and survive migrations (obligations
-// follow a moved group to the destination shard's queue).
+// watermarks are deterministic and survive migrations (a migration
+// applies the source shard's queue before it moves a group, so no
+// obligation changes shards).
 
 #include <atomic>
 #include <filesystem>
@@ -206,31 +207,36 @@ TEST(EpochFlush, EpochBarriersPreserveFlushEquivalence) {
 
 // ------------------------------------------------------------- migrations
 
-// Sealed obligations follow a migrated group: operations of epoch E
-// that raced the move replay onto the destination's queue, and
-// Flush(E) must wait for them *there*.
+// A migration meets the sealed obligations of the group it moves: it
+// drains the source shard before the surgery, so when it returns every
+// queued operation of the group is applied — on the destination — and
+// Flush(E) has nothing left to wait for.
 TEST(EpochFlush, MigrationCarriesEpochObligations) {
   ShardedDynamicCService service(AsyncOptions(2), nullptr, MakeFactory());
   Train(&service, 6, 2);
 
-  // Queue a large burst for group 0 and seal it, then immediately
-  // migrate the group; part of the burst is typically still queued on
-  // the source and replays onto the destination — whose own queue was
-  // empty, so it had already reported the sealed epoch applied. The
-  // epoch flush below must nonetheless cover the replayed tail.
-  service.Ingest(AddsForGroups({0}, 256));
+  // Queue a large burst for group 0 in four admissions (the worker takes
+  // the first while the rest queue behind it), seal it, then migrate
+  // the group at once, while most of the burst is still queued on the
+  // source.
+  for (int i = 0; i < 4; ++i) service.Ingest(AddsForGroups({0}, 64));
   uint64_t sealed = service.CloseEpoch();
 
   uint64_t group = GroupKeyOf(0);
   uint32_t target = 1 - service.ShardOfObject(0) % 2;
   auto migration = service.MigrateGroup(group, target);
   EXPECT_EQ(migration.to, target);
+  EXPECT_TRUE(migration.moved);
+  EXPECT_EQ(migration.objects, 2u + 256u);
+  // Before any flush: the whole burst is applied state and nothing is
+  // left queued anywhere.
+  EXPECT_EQ(service.total_objects(), 6u * 2u + 256u);
+  EXPECT_EQ(service.ingest_stats().pending_ops, 0u);
 
   ServiceReport report = service.Flush(sealed);
   EXPECT_GE(report.ingest.applied_epoch, sealed);
   // Nothing was admitted after the seal, so "epoch applied everywhere"
-  // means *everything* is applied — replayed operations included; an
-  // epoch flush that skipped the re-homed tail would come up short.
+  // means *everything* is applied.
   EXPECT_EQ(service.total_objects(), 6u * 2u + 256u);
   // Every one of the group's records now lives on the migration target.
   service.Flush();

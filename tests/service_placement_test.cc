@@ -1,5 +1,5 @@
 // Dynamic shard placement: the versioned PlacementTable, live group
-// migration (ClusteringEngine state surgery + queue replay), and the
+// migration (source drain + ClusteringEngine state surgery), and the
 // load-aware Rebalancer. The anchor is migration equivalence — after
 // moving arbitrary groups between shards, a flush-barrier run must be
 // byte-identical to the never-migrated synchronous single-engine run.
@@ -256,65 +256,64 @@ TEST(GroupMigration, FlushAfterArbitraryMigrationsIsByteIdenticalToSync) {
   }
 }
 
-TEST(GroupMigration, ReplaysQueuedOperationsThatRacedTheMove) {
-  // Async: enqueue a burst for one group and migrate it immediately —
-  // whatever the worker had not yet applied must re-home to the
-  // destination's log (replayed_ops) and the flushed state must be
-  // complete either way. The race is real, so retry until a migration
-  // actually caught a queued tail (with a 600-op burst and an instant
-  // migration this happens essentially every attempt).
-  bool saw_replay = false;
-  for (int attempt = 0; attempt < 10 && !saw_replay; ++attempt) {
-    ShardedDynamicCService::Options options = SyncOptions(2);
-    options.async.enabled = true;
-    options.async.queue_depth = 4096;
-    ShardedDynamicCService service(options, nullptr, MakeFactory());
-    auto changed = service.ApplyOperations(GroupAdds(4, 3));
-    service.ObserveBatchRound(changed);
-    changed = service.ApplyOperations(GroupAdds(4, 2));
-    service.ObserveBatchRound(changed);
+TEST(GroupMigration, AppliesQueuedOperationsThatRacedTheMove) {
+  // Async: enqueue a burst for one group and migrate it immediately.
+  // MigrateGroup drains the source shard first, so when it returns the
+  // whole burst is applied state on the destination — nothing is left
+  // queued, nothing is lost or applied twice.
+  ShardedDynamicCService::Options options = SyncOptions(2);
+  options.async.enabled = true;
+  options.async.queue_depth = 4096;
+  ShardedDynamicCService service(options, nullptr, MakeFactory());
+  auto changed = service.ApplyOperations(GroupAdds(4, 3));
+  service.ObserveBatchRound(changed);
+  changed = service.ApplyOperations(GroupAdds(4, 2));
+  service.ObserveBatchRound(changed);
 
-    auto ids = service.Ingest(AddsForGroups({1}, 300)).changed;
-    ASSERT_EQ(ids.size(), 300u);
-    OperationBatch churn;
-    DataOperation remove;
-    remove.kind = DataOperation::Kind::kRemove;
-    remove.target = ids[0];
-    churn.push_back(remove);
-    service.Ingest(churn);
+  auto ids = service.Ingest(AddsForGroups({1}, 300)).changed;
+  ASSERT_EQ(ids.size(), 300u);
+  OperationBatch churn;
+  DataOperation remove;
+  remove.kind = DataOperation::Kind::kRemove;
+  remove.target = ids[0];
+  churn.push_back(remove);
+  service.Ingest(churn);
 
-    uint32_t source = service.ShardOfObject(ids[0]);
-    uint32_t dest = 1 - source;
-    auto report = service.MigrateGroup(GroupKeyOf(1), dest);
-    EXPECT_TRUE(report.moved);
-    EXPECT_GT(report.source_epoch, 0u);
-    saw_replay = report.replayed_ops > 0;
+  uint32_t source = service.ShardOfObject(ids[0]);
+  uint32_t dest = 1 - source;
+  auto report = service.MigrateGroup(GroupKeyOf(1), dest);
+  EXPECT_TRUE(report.moved);
+  EXPECT_EQ(report.from, source);
+  // 5 trained records + 300 new - 1 removed, all moved as applied state.
+  EXPECT_EQ(report.objects, 5u + 300u - 1u);
+  EXPECT_EQ(service.ingest_stats().pending_ops, 0u);
+  EXPECT_EQ(service.total_objects(), 4u * 5u + 300u - 1u);
 
-    // Every member of the moved group — applied or still queued — now
-    // belongs to the destination.
-    for (ObjectId id : ids) {
-      ASSERT_EQ(service.ShardOfObject(id), dest);
-    }
+  // Every alive member of the moved group now belongs to the
+  // destination. (ids[0] is either a tombstone, which stays where it
+  // died, or an add annihilated in the queue, which follows the group —
+  // depending on whether the worker took the add before the remove
+  // arrived.)
+  for (size_t i = 1; i < ids.size(); ++i) {
+    ASSERT_EQ(service.ShardOfObject(ids[i]), dest);
+  }
 
-    service.Flush();
-    // 4 groups * 5 records + 300 new - 1 removed, nothing lost or
-    // double-applied across the replay. (How far the model merges a
-    // 300-singleton flash crowd in one round is its own business —
-    // byte-equivalence under migration is pinned by the test above at
-    // ordinary burst sizes — but every cluster must stay within one
-    // shard: similarity never crosses groups, groups never split.)
-    EXPECT_EQ(service.total_objects(), 4u * 5u + 300u - 1u);
-    auto clusters = service.GlobalClusters();
-    EXPECT_GE(clusters.size(), 4u);
-    for (const auto& cluster : clusters) {
-      uint32_t owner = service.ShardOfObject(cluster.front());
-      for (ObjectId id : cluster) {
-        ASSERT_EQ(service.ShardOfObject(id), owner);
-      }
+  service.Flush();
+  // 4 groups * 5 records + 300 new - 1 removed, nothing lost or
+  // double-applied across the move. (How far the model merges a
+  // 300-singleton flash crowd in one round is its own business —
+  // byte-equivalence under migration is pinned by the test above at
+  // ordinary burst sizes — but every cluster must stay within one
+  // shard: similarity never crosses groups, groups never split.)
+  EXPECT_EQ(service.total_objects(), 4u * 5u + 300u - 1u);
+  auto clusters = service.GlobalClusters();
+  EXPECT_GE(clusters.size(), 4u);
+  for (const auto& cluster : clusters) {
+    uint32_t owner = service.ShardOfObject(cluster.front());
+    for (ObjectId id : cluster) {
+      ASSERT_EQ(service.ShardOfObject(id), owner);
     }
   }
-  EXPECT_TRUE(saw_replay)
-      << "no migration ever caught a queued tail in 10 attempts";
 }
 
 TEST(GroupMigration, PlacementVersionsAreDeterministic) {
@@ -472,6 +471,77 @@ TEST(RebalanceOnce, LaterPassesOverHomogeneousTrafficLeaveThePlacementAlone) {
   EXPECT_EQ(after.report.placement_version, settled.report.placement_version);
   EXPECT_EQ(after.report.groups_migrated, settled.report.groups_migrated);
   EXPECT_EQ(after.clusters.size(), hot.size());
+}
+
+TEST(RebalanceOnce, CountsQueuedAddsAndMovesTheSameOnEveryRun) {
+  // Async: queue a colliding hot burst and rebalance at once, while the
+  // hot shard's worker is still applying it. The pass must count every
+  // admitted record — its imbalance is the one the admitted stream
+  // implies — and two services fed the same stream must make the same
+  // moves, however far their workers had got.
+  const uint32_t kShards = 4;
+  const int kBackground = 16;  // groups 0..15, spread by hash
+  const int kPerIngest = 20;
+  std::vector<int> hot;  // groups 1000+ that collide on shard 0
+  for (int g = 1000; hot.size() < 6; ++g) {
+    if (GroupKeyOf(g) % kShards == 0) hot.push_back(g);
+  }
+
+  // Alive records per shard implied by the stream below: background
+  // groups land on their hash shard, the hot set all on shard 0.
+  std::vector<double> records(kShards, 0.0);
+  for (int g = 0; g < kBackground; ++g) {
+    records[GroupKeyOf(g) % kShards] += 3.0;
+  }
+  records[0] += static_cast<double>(hot.size()) * 4 * kPerIngest;
+  double total = 0.0;
+  double max = 0.0;
+  for (double r : records) {
+    total += r;
+    max = std::max(max, r);
+  }
+  const double expected_before = max / (total / kShards);
+
+  auto run = [&] {
+    ShardedDynamicCService::Options options = SyncOptions(kShards);
+    options.async.enabled = true;
+    options.rebalance.policy.hysteresis = 1.1;
+    options.rebalance.policy.max_moves = 8;
+    ShardedDynamicCService service(options, nullptr, MakeFactory());
+    auto changed = service.ApplyOperations(GroupAdds(kBackground, 2));
+    service.ObserveBatchRound(changed);
+    changed = service.ApplyOperations(GroupAdds(kBackground, 1));
+    service.ObserveBatchRound(changed);
+    service.Flush();
+
+    // Four separate admissions: the worker takes the first while the
+    // rest queue up behind it.
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_TRUE(service.Ingest(AddsForGroups(hot, kPerIngest)).accepted);
+    }
+    auto report = service.RebalanceOnce();
+    EXPECT_EQ(service.ingest_stats().pending_ops, 0u);
+    service.Flush();
+    EXPECT_EQ(service.total_objects(), static_cast<size_t>(total));
+    return report;
+  };
+  auto first = run();
+  auto second = run();
+
+  EXPECT_DOUBLE_EQ(first.record_imbalance_before, expected_before);
+  EXPECT_DOUBLE_EQ(second.record_imbalance_before, expected_before);
+  EXPECT_GE(first.moves.size(), 3u);
+  ASSERT_EQ(first.moves.size(), second.moves.size());
+  for (size_t i = 0; i < first.moves.size(); ++i) {
+    EXPECT_EQ(first.moves[i].group, second.moves[i].group) << "move " << i;
+    EXPECT_EQ(first.moves[i].from, second.moves[i].from) << "move " << i;
+    EXPECT_EQ(first.moves[i].to, second.moves[i].to) << "move " << i;
+    EXPECT_EQ(first.moves[i].objects, second.moves[i].objects)
+        << "move " << i;
+  }
+  EXPECT_DOUBLE_EQ(first.record_imbalance_after,
+                   second.record_imbalance_after);
+  EXPECT_EQ(first.placement_version, second.placement_version);
 }
 
 TEST(RebalanceOnce, AutoRebalanceRunsOnTheBarrierCadence) {
