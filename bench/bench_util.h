@@ -1,125 +1,16 @@
 #ifndef DYNAMICC_BENCH_BENCH_UTIL_H_
 #define DYNAMICC_BENCH_BENCH_UTIL_H_
 
-// Shared helpers for the experiment-reproduction binaries. Each binary
-// prints (a) a banner naming the paper artifact it regenerates, (b) the
-// table/series in the same orientation the paper uses, (c) a short
-// "paper-reported vs measured" note where applicable.
+// Helpers shared by the serving benches (bench_sharded_throughput,
+// bench_net_serving).
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <iostream>
 #include <string>
 #include <vector>
 
-#include "harness/experiment.h"
-#include "util/csv.h"
-
 namespace dynamicc {
 namespace bench {
-
-inline void Banner(const std::string& artifact, const std::string& what) {
-  std::printf("=====================================================\n");
-  std::printf("%s — %s\n", artifact.c_str(), what.c_str());
-  std::printf("=====================================================\n");
-}
-
-/// Default experiment scale per workload: small enough that the whole
-/// bench suite runs in minutes, large enough that the paper's shapes
-/// (who wins, by what factor) are visible. EXPERIMENTS.md documents the
-/// scale-down relative to the paper.
-inline size_t DefaultScale(WorkloadKind workload) {
-  switch (workload) {
-    case WorkloadKind::kCora:
-      return 200;
-    case WorkloadKind::kMusic:
-      return 400;
-    case WorkloadKind::kSynthetic:
-      return 300;
-    case WorkloadKind::kAccess:
-      return 400;
-    case WorkloadKind::kRoad:
-      return 800;
-  }
-  return 200;
-}
-
-inline ExperimentConfig StandardConfig(WorkloadKind workload, TaskKind task) {
-  ExperimentConfig config;
-  config.workload = workload;
-  config.task = task;
-  config.scale = DefaultScale(workload);
-  config.training_rounds = 2;
-  return config;
-}
-
-/// Prints one latency/quality row per snapshot for a set of method series
-/// (all series must cover the same snapshots).
-inline void PrintLatencyTable(const std::vector<Series>& series_list) {
-  std::vector<std::string> headers{"snapshot", "objects"};
-  for (const auto& series : series_list) {
-    headers.push_back(series.method + "_ms");
-  }
-  TableWriter table(headers);
-  size_t rows = series_list.front().points.size();
-  for (size_t i = 0; i < rows; ++i) {
-    std::vector<std::string> row{
-        std::to_string(series_list.front().points[i].snapshot),
-        std::to_string(series_list.front().points[i].num_objects)};
-    for (const auto& series : series_list) {
-      row.push_back(TableWriter::Num(series.points[i].latency_ms, 1));
-    }
-    table.AddRow(row);
-  }
-  table.Print(std::cout);
-}
-
-/// Prints one objective-score row per snapshot.
-inline void PrintObjectiveTable(const std::vector<Series>& series_list,
-                                bool sqrt_scores = false) {
-  std::vector<std::string> headers{"snapshot", "objects"};
-  for (const auto& series : series_list) {
-    headers.push_back(series.method + (sqrt_scores ? "_sqrt" : "_score"));
-  }
-  TableWriter table(headers);
-  size_t rows = series_list.front().points.size();
-  for (size_t i = 0; i < rows; ++i) {
-    std::vector<std::string> row{
-        std::to_string(series_list.front().points[i].snapshot),
-        std::to_string(series_list.front().points[i].num_objects)};
-    for (const auto& series : series_list) {
-      double score = series.points[i].objective;
-      row.push_back(TableWriter::Num(sqrt_scores ? std::sqrt(score) : score,
-                                     2));
-    }
-    table.AddRow(row);
-  }
-  table.Print(std::cout);
-}
-
-/// Prints one F1 row per snapshot.
-inline void PrintF1Table(const std::vector<Series>& series_list) {
-  std::vector<std::string> headers{"snapshot"};
-  for (const auto& series : series_list) {
-    headers.push_back(series.method + "_F1");
-  }
-  TableWriter table(headers);
-  size_t rows = series_list.front().points.size();
-  for (size_t i = 0; i < rows; ++i) {
-    std::vector<std::string> row{
-        std::to_string(series_list.front().points[i].snapshot)};
-    for (const auto& series : series_list) {
-      row.push_back(TableWriter::Num(series.points[i].quality.f1));
-    }
-    table.AddRow(row);
-  }
-  table.Print(std::cout);
-}
-
-inline void Note(const std::string& text) {
-  std::printf("note: %s\n", text.c_str());
-}
 
 /// Nearest-rank percentile (p in [0, 1]) of `values`, which it sorts in
 /// place; 0 when empty.

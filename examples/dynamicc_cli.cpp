@@ -39,8 +39,8 @@
 // every shard and snapshots are served by background round workers;
 // --queue-depth N bounds each queue (pending coalesced operations) and
 // --backpressure block|reject picks what a full queue does to the
-// producer. Serving snapshots are enqueued and the stream ends with a
-// Flush() barrier:
+// producer. Each serving snapshot is enqueued, then ended with a Flush()
+// barrier, so the `final:` line equals the sync run's:
 //
 //   dynamicc_cli --workload cora --task correlation --shards 4 --async
 //                --queue-depth 512 --backpressure block      (one line)
@@ -1018,10 +1018,10 @@ int RunSharded(const CliArgs& args, const ExperimentConfig& config) {
 
   if (args.async) {
     // Pipelined serving: training snapshots still use explicit observe
-    // barriers; afterwards every snapshot is only *enqueued* (the table
-    // shows the producer-side cost — enqueue latency and backpressure),
-    // the background workers apply + round it, and one Flush() barrier
-    // ends the stream.
+    // barriers; afterwards every snapshot is *enqueued* (the table shows
+    // the producer-side cost — enqueue latency and backpressure), the
+    // background workers apply + round it, and a Flush() barrier ends
+    // the snapshot.
     //
     // The stream generator numbers adds in generation order; under the
     // kReject policy some batches are shed, so the client keeps its own
@@ -1097,30 +1097,21 @@ int RunSharded(const CliArgs& args, const ExperimentConfig& config) {
                     std::to_string(batch.size()),
                     TableWriter::Num(ms, 2), accepted ? "yes" : "no",
                     std::to_string(service.ingest_stats().pending_ops)});
-      // A durable snapshot is taken at a barrier: in the serving phase
-      // flush the admitted prefix first so the saved state reflects
-      // this snapshot (observe barriers above already flushed).
-      if (!observe && !args.save_snapshot.empty() &&
-          args.snapshot_at == snapshot + 1) {
-        service.Flush();
-      }
+      // One barrier per serving snapshot. Without it the clustering
+      // depends on where the drain workers happened to cut their bites —
+      // schedule noise that changes the `final:` line from run to run on
+      // workloads whose blocking groups interact. With it the admitted
+      // stream alone determines the state: the run matches the sync run,
+      // a saved snapshot reflects this snapshot, and a follower's replay
+      // of the sealed epoch is byte-identical (the queues still pipeline
+      // within each snapshot; observe barriers above already flushed).
+      if (!observe) service.Flush();
       maybe_save(snapshot + 1);
       if (args.metrics_every > 0 &&
           (snapshot + 1) % args.metrics_every == 0) {
         ExportObservability(args, service, /*tracer=*/nullptr);
       }
-      // One sealed epoch per serving snapshot. A *replicated* async
-      // primary barriers the epoch before sealing it: un-barriered
-      // pipelining leaves the clustering dependent on where the drain
-      // workers happened to cut their bites — schedule noise no log can
-      // replay on workloads whose blocking groups interact. The barrier
-      // makes the shipped stream fully determine the state, so the
-      // follower's replay is byte-identical on every workload (and the
-      // queues still pipeline within each snapshot).
-      if (repl_started) {
-        service.Flush();
-        repl->SealEpoch();
-      }
+      if (repl_started) repl->SealEpoch();
     }
     Timer flush_timer;
     service.Flush();

@@ -296,7 +296,7 @@ double ExperimentHarness::ObjectiveOf(RunEnv& env) const {
 
 void ExperimentHarness::FillQuality(size_t snapshot, RunEnv& env,
                                     SeriesPoint* point) const {
-  if (!config_.compute_quality || snapshot >= references_.size()) return;
+  if (snapshot >= references_.size()) return;
   point->quality = EvaluateQuality(env.engine->clustering().CanonicalClusters(),
                                    references_[snapshot]);
 }
@@ -520,7 +520,7 @@ Series ExperimentHarness::RunDynamicC(bool greedy_set) {
     } else {
       point.objective = env->objective->Evaluate(session.engine());
     }
-    if (config_.compute_quality && snapshot < references_.size()) {
+    if (snapshot < references_.size()) {
       point.quality =
           EvaluateQuality(session.engine().clustering().CanonicalClusters(),
                           references_[snapshot]);

@@ -68,10 +68,6 @@ struct ExperimentConfig {
   /// When >= 0, overrides both decision thresholds after training — the
   /// §5.4 accuracy/efficiency trade-off knob (ablation A1).
   double theta_override = -1.0;
-
-  /// Compute quality metrics against per-snapshot batch references. Turn
-  /// off for latency-only sweeps (saves the reference batch runs).
-  bool compute_quality = true;
 };
 
 /// One method's measurement at one snapshot.
@@ -83,7 +79,7 @@ struct SeriesPoint {
   /// Objective score after re-clustering (raw SSE for k-means; NaN for
   /// DBSCAN, which has no objective).
   double objective = 0.0;
-  /// Quality vs the batch reference (only when compute_quality).
+  /// Quality vs the batch reference (only once RunBatch() built it).
   QualityReport quality;
   /// DynamicC-only counters (zeros for other methods).
   ReclusterReport dynamicc;

@@ -13,7 +13,7 @@ namespace dynamicc {
 /// (x, y, elevation) points sampled along randomly generated road
 /// polylines with smooth elevation profiles and GPS-style noise. The paper
 /// runs this at 100K→344K objects; the default here is scaled down
-/// (configurable) — EXPERIMENTS.md records the scale used.
+/// (configurable) — `paper_bench` prints the scale each artifact uses.
 class RoadLikeGenerator {
  public:
   struct Options {

@@ -83,10 +83,8 @@ TEST(Harness, QualityAgainstSelfIsPerfectForBatch) {
   }
 }
 
-TEST(Harness, ComputeQualityOffLeavesDefaults) {
-  ExperimentConfig config = TinyConfig();
-  config.compute_quality = false;
-  ExperimentHarness harness(config);
+TEST(Harness, QualityWithoutReferencesLeavesDefaults) {
+  ExperimentHarness harness(TinyConfig());  // no RunBatch(): no references
   Series naive = harness.RunNaive();
   for (const auto& point : naive.points) {
     EXPECT_DOUBLE_EQ(point.quality.f1, 0.0);  // untouched default
